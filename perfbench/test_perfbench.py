@@ -103,6 +103,15 @@ def bianchi():
     return ops, {op.name: op.run() for op in ops}
 
 
+def _edited(results, name, edit):
+    """A copy of an operation's result with ``edit`` applied to it, or to
+    the last solution of an operation that carries several."""
+    res = results[name]
+    one = dict(res[-1] if isinstance(res, list) else res)
+    edit(one)
+    return [*res[:-1], one] if isinstance(res, list) else one
+
+
 def test_bianchi_outputs_pass(bianchi):
     ops, results = bianchi
     for op in ops:
@@ -112,14 +121,16 @@ def test_bianchi_outputs_pass(bianchi):
 @pytest.mark.parametrize("name", ["closed_form", "taub_nut", "dh_triaxial", "lagrange"])
 def test_perturbed_trajectory_fails(bianchi, name):
     ops, results = bianchi
-    res = dict(results[name])
-    traj = dataclasses.replace(res["traj"], Omega=res["traj"].Omega.copy())
-    i = 0 if name in ("closed_form", "taub_nut") else -1
-    if name == "lagrange":
-        i = int((abs(traj.Omega).max(axis=1) >= 10).argmax())
-    traj.Omega[i, 1] *= 1 + 1e-4
-    res["traj"] = traj
-    assert not _ok(_op(ops, name), res)[0]
+
+    def edit(res):
+        traj = dataclasses.replace(res["traj"], Omega=res["traj"].Omega.copy())
+        i = 0 if name in ("closed_form", "taub_nut") else -1
+        if name == "lagrange":
+            i = int((abs(traj.Omega).max(axis=1) >= 10).argmax())
+        traj.Omega[i, 1] *= 1 + 1e-4
+        res["traj"] = traj
+
+    assert not _ok(_op(ops, name), _edited(results, name, edit))[0]
 
 
 def test_wrong_endpoint_or_flag_fails(bianchi):
@@ -127,15 +138,14 @@ def test_wrong_endpoint_or_flag_fails(bianchi):
     res = dict(results["taub_nut"])
     res["endpoint"] = dataclasses.replace(res["endpoint"], kind="bolt")
     assert not _ok(_op(ops, "taub_nut"), res)[0]
-    res = dict(results["dh_triaxial"])
-    res["flags"] = {**res["flags"], "SelfDual": False}
+    res = _edited(results, "dh_triaxial",
+                  lambda r: r.update(flags={**r["flags"], "SelfDual": False}))
     assert not _ok(_op(ops, "dh_triaxial"), res)[0]
 
 
 def test_perturbed_flow_and_conformal_fail(bianchi):
     ops, results = bianchi
-    res = dict(results["flow"])
-    res["residual"] = 0.5
+    res = _edited(results, "flow", lambda r: r.update(residual=0.5))
     assert not _ok(_op(ops, "flow"), res)[0]
     res = dict(results["conformal"])
     res["fi"] = res["fi"] + 1e-8
@@ -280,12 +290,20 @@ def test_short_pass(workload):
     res = json.loads(p.stdout.strip().splitlines()[-1])
     assert set(res) == {"correct", "attempted", "failed", "metrics"}
     assert res["correct"] is True
-    assert res["attempted"] >= 1
+    assert res["attempted"] >= (18 if workload == "cli-cold" else 1)  # cli-cold: two rounds
     expected_fail_share = 4 / 14 if workload == "lattice" else 0
     assert res["failed"] / res["attempted"] == expected_fail_share
     assert {k: v["unit"] for k, v in res["metrics"].items()} == {
         m["name"]: m["unit"] for m in BENCH["end_to_end"]}
     assert all(v["value"] > 0 for v in res["metrics"].values())
+
+
+def test_sustained_time_stays_at_the_usual_speed():
+    import run
+
+    usual, burst = [10.0] * 4, [6.0] * 6  # fast bursts in six rounds of ten
+    assert run.sustained(burst + usual) == 10.0
+    assert run.sustained([7.0]) == 7.0
 
 
 def test_traced_pass_reports_every_layer_metric():

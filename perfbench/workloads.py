@@ -31,6 +31,7 @@ LATTICE_R = 120
 DN_CUTOFFS = (60, 120)
 FIXED_TAU = 2j  # D_3 and D_4 inputs: their bars miss at every tau tried
 MAASS_S = (1.5, 2.0, 2.5)
+ODE_INPUTS = 3  # seeded initial data per DH and flow operation
 C221, BANANA, C211 = (1, 1, 1, 1, 1, 0), (2, 0, 0, 0, 0, 2), (2, 1, 0, 1, 0, 0)
 
 
@@ -129,10 +130,11 @@ def ode_rel_tol(tol):
 # seeded inputs
 
 
-def draw_tau(rng: random.Random) -> complex:
-    """tau in the fundamental domain, Im tau <= 2, rounded to 6 digits."""
+def draw_tau(rng: random.Random, lo: float = 0.87, hi: float = 2.0) -> complex:
+    """tau in the fundamental domain with lo <= Im tau <= hi, rounded to 6
+    digits."""
     while True:
-        x, y = round(rng.uniform(-0.5, 0.5), 6), round(rng.uniform(0.87, 2.0), 6)
+        x, y = round(rng.uniform(-0.5, 0.5), 6), round(rng.uniform(lo, hi), 6)
         if x * x + y * y >= 1:
             return complex(x, y)
 
@@ -310,25 +312,33 @@ def bianchi_ops(seed: int):
 
     ops.append(Op("taub_nut", taub_nut, check_taub_nut))
 
-    # generic triaxial data: DH to the isotropic attractor, Lagrange to blowup
-    dh_init, lag_init = draw_triple(rng), draw_triple(rng)
+    # generic triaxial data: DH to the isotropic attractor, Lagrange to blowup.
+    # The number of RK45 steps a DH run takes moves by +-15% with its data,
+    # so the DH and flow operations each carry ODE_INPUTS solutions: a
+    # seed then changes what an operation costs by half as much.
+    dh_inits, lag_init = [draw_triple(rng) for _ in range(ODE_INPUTS)], draw_triple(rng)
 
     def dh():
-        traj = H.integrate("dh", H.RealTriAxial(dh_init, 1.0), 10.0, tol=1e-10)
-        decs, flags, ep = _geometry_of(traj, "dh", G)
-        return {"traj": traj, "decs": decs, "flags": flags, "endpoint": ep,
-                "json": traj.to_json(), "endpoint_json": ep.to_json()}
+        out = []
+        for init in dh_inits:
+            traj = H.integrate("dh", H.RealTriAxial(init, 1.0), 10.0, tol=1e-10)
+            decs, flags, ep = _geometry_of(traj, "dh", G)
+            out.append({"traj": traj, "decs": decs, "flags": flags, "endpoint": ep,
+                        "json": traj.to_json(), "endpoint_json": ep.to_json()})
+        return out
 
-    def check_dh(res):
+    def check_dh(results):
         import oracles as O
 
-        traj = res["traj"]
-        ref = O.ode_solution("dh", dh_init, 1.0, float(traj.T[-1]))
-        out = [num("halphen.integrate", f"DH Omega{k + 1}(T_end)", traj.Omega[-1, k], ref[k],
-                   rel=ode_rel_tol(1e-10)) for k in range(3)]
-        out += _common_checks("DH triaxial", res, "nut")
-        out.append(prop("serialise", "DH: JSON round trip",
-                        json.loads(res["json"])["Omega"] == traj.Omega.tolist()))
+        out = []
+        for init, res in zip(dh_inits, results, strict=True):
+            traj = res["traj"]
+            ref = O.ode_solution("dh", init, 1.0, float(traj.T[-1]))
+            out += [num("halphen.integrate", f"DH{init} Omega{k + 1}(T_end)", traj.Omega[-1, k],
+                        ref[k], rel=ode_rel_tol(1e-10)) for k in range(3)]
+            out += _common_checks(f"DH triaxial {init}", res, "nut")
+            out.append(prop("serialise", f"DH{init}: JSON round trip",
+                            json.loads(res["json"])["Omega"] == traj.Omega.tolist()))
         return out
 
     ops.append(Op("dh_triaxial", dh, check_dh))
@@ -353,27 +363,34 @@ def bianchi_ops(seed: int):
 
     ops.append(Op("lagrange", lagrange, check_lagrange))
 
-    # Ricci-flow diagnostics along a DH run
-    flow_init = draw_triple(rng)
+    # Ricci-flow diagnostics along DH runs
+    flow_inits = [draw_triple(rng) for _ in range(ODE_INPUTS)]
     flow_end = 8.0
 
     def flow():
-        run = F.flow_run(H.RealTriAxial(flow_init, 1.0), flow_end, tol=1e-10)
-        return {"run": run, "residual": F.volume_rate_check(run), "json": run.to_json()}
+        out = []
+        for init in flow_inits:
+            run = F.flow_run(H.RealTriAxial(init, 1.0), flow_end, tol=1e-10)
+            out.append({"run": run, "residual": F.volume_rate_check(run), "json": run.to_json()})
+        return out
 
-    def check_flow(res):
+    def check_flow(results):
         import oracles as O
 
-        run = res["run"]
-        ref = O.ode_solution("dh", flow_init, 1.0, float(run.traj.T[-1]))
-        vol = abs(ref[0] * ref[1] * ref[2]) ** 0.25
-        return [
-            num("flows", "flow: slice volume at T_end", run.volume[-1], vol, rel=ode_rel_tol(1e-10)),
-            prop("flows", f"flow: dV/dt = -V Rbar/2 residual {res['residual']:.2e} <= 1e-2",
-                 res["residual"] <= 1e-2),
-            prop("serialise", "flow: JSON round trip",
-                 json.loads(res["json"])["volume"] == run.volume.tolist()),
-        ]
+        out = []
+        for init, res in zip(flow_inits, results, strict=True):
+            run = res["run"]
+            ref = O.ode_solution("dh", init, 1.0, float(run.traj.T[-1]))
+            vol = abs(ref[0] * ref[1] * ref[2]) ** 0.25
+            out += [
+                num("flows", f"flow{init}: slice volume at T_end", run.volume[-1], vol,
+                    rel=ode_rel_tol(1e-10)),
+                prop("flows", f"flow{init}: dV/dt = -V Rbar/2 residual {res['residual']:.2e} <= 1e-2",
+                     res["residual"] <= 1e-2),
+                prop("serialise", f"flow{init}: JSON round trip",
+                     json.loads(res["json"])["volume"] == run.volume.tolist()),
+            ]
+        return out
 
     ops.append(Op("flow", flow, check_flow))
 
@@ -422,8 +439,12 @@ def lattice_ops(seed: int):
     rng = random.Random(seed)
     ops = []
     spec = M.LatticeSumSpec(R=LATTICE_R)
-    for s in MAASS_S:
-        tau = draw_tau(rng)
+    # a lattice sum's cost grows steeply as Im tau falls (3x across the
+    # range), so each s gets its tau from another third of the range: the
+    # work in a round then hardly depends on the seed
+    taus = [draw_tau(rng, lo, hi) for lo, hi in ((0.87, 1.25), (1.25, 1.62), (1.62, 2.0))]
+    rng.shuffle(taus)
+    for s, tau in zip(MAASS_S, taus, strict=True):
 
         def lattice(s=s, tau=tau):
             return M.eisenstein_lattice(s, tau, spec)
@@ -516,18 +537,10 @@ def graphs_ops(seed: int):
 # -- cli ------------------------------------------------------------------
 
 
-def cli_argvs(seed: int, sets: int = 1):
-    """The nine subcommands with light, valid, seeded arguments, ``sets``
-    times over.  Returns (name, argv, check(stdout_text)) triples."""
+def cli_argvs(seed: int):
+    """The nine subcommands with light, valid, seeded arguments.  Returns
+    (name, argv, check(stdout_text)) triples."""
     rng = random.Random(seed)
-    out = []
-    for k in range(sets):
-        suffix = f"#{k + 1}" if k else ""
-        out += [(argv[0] + suffix, argv, check) for argv, check in _cli_set(rng)]
-    return out
-
-
-def _cli_set(rng):
     out = []
 
     solve_init, solve_t1 = draw_triple(rng), round(rng.uniform(3.0, 6.0), 6)
@@ -654,7 +667,7 @@ def _cli_set(rng):
 
     out.append((["conformal", "--cp=eisenstein", f"--rho={rho!r}", f"--eta={eta!r}"],
                 check_conformal))
-    return out
+    return [(argv[0], argv, check) for argv, check in out]
 
 
 def _cli_check(check):
@@ -667,13 +680,10 @@ def _cli_check(check):
     return run_check
 
 
-CLI_SETS = 2  # a cli-cold round runs every subcommand on two input sets
-
-
-def cli_cold_ops(seed: int, python: str, env: dict, sets: int = CLI_SETS):
+def cli_cold_ops(seed: int, python: str, env: dict):
     """Each operation starts a fresh `python -m halphen_lab.cli`."""
     ops = []
-    for name, argv, check in cli_argvs(seed, sets):
+    for name, argv, check in cli_argvs(seed):
         def run(argv=argv):
             p = subprocess.run([python, "-m", "halphen_lab.cli", *argv], env=env,
                                capture_output=True, text=True, timeout=120)
@@ -683,12 +693,12 @@ def cli_cold_ops(seed: int, python: str, env: dict, sets: int = CLI_SETS):
     return ops
 
 
-def cli_warm_ops(seed: int, sets: int = 1):
+def cli_warm_ops(seed: int):
     """The same subcommands through ``main(argv)`` in this process."""
     from halphen_lab.cli import main
 
     ops = []
-    for name, argv, check in cli_argvs(seed, sets):
+    for name, argv, check in cli_argvs(seed):
         def run(argv=argv):
             buf = io.StringIO()
             with redirect_stdout(buf):
