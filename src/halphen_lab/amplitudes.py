@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import (
     DivergentParameter,
@@ -208,6 +207,19 @@ def _weight_grid(tau: complex, R: int):
     return M, N, W
 
 
+def _convolve(A, B):
+    """Linear 2-D convolution of A and B by real FFT.
+
+    Each axis is zero-padded to the next power of two at or above the
+    output length: the exact length 4R+1 can be prime (R = 60 gives 241),
+    where an unpadded transform is ten times slower.
+    """
+    shape = [a + b - 1 for a, b in zip(A.shape, B.shape)]
+    fshape = [1 << (n - 1).bit_length() for n in shape]
+    out = np.fft.irfft2(np.fft.rfft2(A, fshape) * np.fft.rfft2(B, fshape), fshape)
+    return out[: shape[0], : shape[1]]
+
+
 def genus_one_propagator_momentum(
     z: complex,
     tau: ModularPoint,
@@ -268,7 +280,7 @@ def kronecker_eisenstein_Dn(
     if n == 2:
         value = float(np.sum(W * W))
     else:
-        g2 = fftconvolve(W, W)  # indexed by p1 + p2 on a (4R+1)^2 grid
+        g2 = _convolve(W, W)  # indexed by p1 + p2 on a (4R+1)^2 grid
         if n == 3:
             # embed W at the center of the convolution grid: p3 = -(p1+p2)
             Wpad = np.zeros_like(g2)
@@ -369,11 +381,20 @@ def graph_D(
 ) -> MaassValue:
     """General four-puncture Kronecker-Eisenstein graph sum.
 
-    Vertex momentum conservation is solved by a spanning-tree cycle
+    Vertex momentum conservation is solved by a spanning-forest cycle
     basis; bridge edges are forced to p = 0 and, under the p != 0
-    convention, make the whole sum vanish (flagged in `note`).
-    Banana topologies (all links between one pair) delegate to the FFT
-    path; other graphs enumerate up to two loop momenta directly.
+    convention, make the whole sum vanish (flagged in `note`).  Banana
+    topologies (all links between one pair) are D_n.  Otherwise edges
+    with the same cycle vector (up to sign) carry the same momentum, so
+    a one-loop graph of weight k is sum_q W(q)^k, and a two-loop graph
+    with k1 edges on q1, k2 on q2 and k3 on q1 +- q2 (k3 = 0 when it
+    factorizes) is one FFT convolution,
+
+        sum_s (W^k1 * W^k2)(s) W^k3(s).
+
+    The loop momenta q1, q2 run over the (2R+1)^2 box and the derived
+    momentum s over the full (4R+1)^2 grid, uncut.  Graphs with three or
+    more loops, bananas aside, raise WeightTooLarge.
     """
     if mult.weight > 6:
         raise WeightTooLarge("total weight capped at 6")
@@ -396,38 +417,22 @@ def graph_D(
     loops = len(cycles)
     if loops > 2:
         raise WeightTooLarge(
-            f"{loops} independent loops exceed the direct-enumeration budget"
+            f"{loops} independent loops: only bananas and graphs with at most two are summed"
         )
 
     t = tau.tau
-    R = spec.R
-    rng = np.arange(-R, R + 1)
-    M, N = np.meshgrid(rng, rng, indexing="ij")
-    P = (M + N * t).ravel()
-
-    def weights(p):
-        w = np.zeros(p.shape)
-        mask = np.abs(p) > 1e-12
-        w[mask] = t.imag / (4 * math.pi * np.abs(p[mask]) ** 2)
-        return w
-
+    R = int(spec.R)
+    _, _, W = _weight_grid(t, R)
     if loops == 1:
-        q = P
-        total = np.ones(q.shape)
-        for i in range(len(edges)):
-            total = total * weights(cycles[0][i] * q)
-        value = float(np.sum(total))
+        value = float(np.sum(W**mult.weight))
     else:
-        # two nested loop momenta; vectorize the inner one
-        value = 0.0
-        for q1 in P:
-            prod = np.ones(P.shape)
-            for i in range(len(edges)):
-                pe = cycles[0][i] * q1 + cycles[1][i] * P
-                prod = prod * weights(pe)
-                if not prod.any():
-                    break
-            value += float(np.sum(prod))
+        # each chord lies on its own cycle only, so the q1 and q2 classes
+        # are never empty; the other edges share one path and carry q1 +- q2
+        k1 = cycles[1].count(0)
+        k2 = cycles[0].count(0)
+        k3 = mult.weight - k1 - k2
+        _, _, W2 = _weight_grid(t, 2 * R)
+        value = float(np.sum(_convolve(W**k1, W**k2) * W2**k3))
     return MaassValue(value=value, est_error=_dn_tail(mult.weight, t, R))
 
 

@@ -38,14 +38,33 @@ def parse_complex(text: str) -> complex:
         raise _UsageError(f"cannot parse complex literal {text!r}")
 
 
-def parse_triple(text: str):
+def parse_floats(text: str, count: int):
     parts = text.split(",")
-    if len(parts) != 3:
-        raise _UsageError(f"expected three comma-separated values, got {text!r}")
+    if len(parts) != count:
+        raise _UsageError(f"expected {count} comma-separated values, got {text!r}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
-        raise _UsageError(f"cannot parse triple {text!r}")
+        raise _UsageError(f"cannot parse {count} numbers from {text!r}")
+
+
+def parse_triple(text: str):
+    return parse_floats(text, 3)
+
+
+def _int_at_least(lo: int):
+    """argparse type for an integer option with a lower bound."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit(payload, out_path, is_text=False):
@@ -107,7 +126,7 @@ def _cmd_curvature(args):
         traj = Trajectory.from_samples("dh", T, Om)
         system = "dh"
     elif args.taubnut:
-        T0, Tstar = (float(x) for x in args.taubnut.split(",")[:2])
+        T0, Tstar = parse_floats(args.taubnut, 2)
         lo = max(T0, Tstar)
         T = lo + np.geomspace(0.05, 60.0, args.samples)
         Om = np.array([taub_nut_family(t, T0, Tstar).Omega for t in T])
@@ -318,7 +337,7 @@ def _cmd_conformal(args):
 
 def build_parser() -> _Parser:
     p = _Parser(prog="halphen-lab", description=__doc__)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="cap internal parallelism (fallback: HALPHEN_LAB_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -334,7 +353,7 @@ def build_parser() -> _Parser:
                     help="sample the closed-form solution instead of integrating")
     sp.add_argument("--t0", type=float, required=True)
     sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_int_at_least(2), default=200)
     sp.add_argument("--no-stop-on-root", action="store_true")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=_cmd_solve)
@@ -347,7 +366,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--taubnut", default=None, help="T0,Tstar")
     sp.add_argument("--t0", type=float, default=1.0)
     sp.add_argument("--t1", type=float, default=9.0)
-    sp.add_argument("--samples", type=int, default=300)
+    sp.add_argument("--samples", type=_int_at_least(2), default=300)
     sp.set_defaults(func=_cmd_curvature)
 
     sp = sub.add_parser("flow", help="Ricci-flow run with slice diagnostics")

@@ -88,17 +88,6 @@ class ConformalState:
                     raise DomainError(f"{name} components must be finite")
             object.__setattr__(self, name, vals)
 
-    @property
-    def B(self) -> tuple:
-        """The companion triple B_i, from
-        Omega_i' = Omega_j Omega_k - Omega_i (Delta_j + Delta_k)
-                 = -Omega_j Omega_k + Omega_i (B_j + B_k)."""
-        d, Om = self.delta, self.omega
-        # B_j + B_k = Delta_j + Delta_k + 2 Omega_j Omega_k / Omega_i
-        S = [d[j] + d[k] + 2 * Om[j] * Om[k] / Om[i] for i, j, k in _CYC]
-        tot = sum(S) / 2
-        return tuple(tot - S[i] for i in range(3))
-
 
 @dataclass(frozen=True)
 class WVars:

@@ -66,7 +66,7 @@ class LatticePointHit(HalphenLabError):
 
 
 class WeightTooLarge(HalphenLabError):
-    """Graph weight beyond the supported enumeration budget."""
+    """Graph weight or loop number beyond what the lattice sums support."""
 
 
 class DisconnectedGraph(HalphenLabError):

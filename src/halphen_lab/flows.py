@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetric, DomainError, InsufficientData
+from .errors import DomainError, InsufficientData, OutOfRange
+from .geometry import frame_coefficients, proper_time
 from .halphen import RealTriAxial, Trajectory, integrate
 
 __all__ = [
@@ -40,16 +41,8 @@ __all__ = [
 ]
 
 
-def slice_metric(state) -> tuple:
-    """(A1, A2, A3) with A_i = sqrt(Omega_j Omega_k / Omega_i)."""
-    Om = state.Omega if isinstance(state, RealTriAxial) else tuple(state)
-    if min(abs(w) for w in Om) < 1e-300:
-        raise DegenerateMetric(f"vanishing component in {Om}")
-    return (
-        math.sqrt(abs(Om[1] * Om[2] / Om[0])),
-        math.sqrt(abs(Om[2] * Om[0] / Om[1])),
-        math.sqrt(abs(Om[0] * Om[1] / Om[2])),
-    )
+# the slice coefficients A_i are the frame coefficients of the 4-metric
+slice_metric = frame_coefficients
 
 
 def slice_scalar_curvature(state) -> float:
@@ -68,12 +61,8 @@ def slice_volume(state) -> float:
     return math.sqrt(abs(A * B * C))
 
 
-def flow_time(traj: Trajectory) -> np.ndarray:
-    """Cumulative flow time t(T) = int sqrt|Omega1 Omega2 Omega3| dT."""
-    dens = np.sqrt(np.abs(np.prod(traj.Omega, axis=1)))
-    return np.concatenate(
-        [[0.0], np.cumsum(np.diff(traj.T) * 0.5 * (dens[1:] + dens[:-1]))]
-    )
+# flow time is the proper time of the 4-metric
+flow_time = proper_time
 
 
 @dataclass
@@ -146,8 +135,6 @@ def volume_rate_check(run: FlowRun, T: float | None = None, skip: int = 2) -> fl
     if len(t) < 2 * skip + 3:
         raise InsufficientData("run too short for the rate check")
     if T is not None:
-        from .errors import OutOfRange
-
         lo, hi = sorted((run.traj.T[skip], run.traj.T[-skip - 1]))
         if not (lo <= T <= hi):
             raise OutOfRange(f"T = {T} not interior to the run")

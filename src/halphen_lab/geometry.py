@@ -265,13 +265,15 @@ def onshell_weyl(dec: CurvatureDecomp, Lambda: float = 0.0):
 # endpoint classification
 
 
-def frame_coefficients(Omega):
-    """|f_i| with f_i = sqrt(Omega_j Omega_k / Omega_i).
+def frame_coefficients(state):
+    """|f_i| with f_i = sqrt(Omega_j Omega_k / Omega_i), from a
+    RealTriAxial or an Omega triple.
 
     Absolute values are taken throughout: solutions with one negative
     component describe the same geometry up to an overall sign of the
     metric.
     """
+    Omega = state.Omega if isinstance(state, RealTriAxial) else tuple(state)
     _require_nondegenerate(Omega)
     return tuple(
         math.sqrt(abs(Omega[j] * Omega[k] / Omega[i])) for i, j, k in _CYC

@@ -29,7 +29,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
 
 from . import numdiff
-from .errors import DomainError, PoleHit, StepUnderflow
+from .errors import DomainError, OutOfRange, PoleHit, StepTooLarge, StepUnderflow
 from .modforms import (
     DEFAULT_TRUNC,
     Moebius,
@@ -208,8 +208,6 @@ class Trajectory:
         Ts = self.T if self.T[0] < self.T[-1] else self.T[::-1]
         Om = self.Omega if self.T[0] < self.T[-1] else self.Omega[::-1]
         if not (Ts[0] <= T <= Ts[-1]):
-            from .errors import OutOfRange
-
             raise OutOfRange(f"T = {T} outside run [{Ts[0]}, {Ts[-1]}]")
         vals = [float(np.interp(T, Ts, Om[:, i])) for i in range(3)]
         return RealTriAxial(tuple(vals), T)
@@ -271,6 +269,11 @@ def integrate(
         raise DomainError("tol must be positive")
     if T_end == init.T:
         raise DomainError("T_end must differ from the initial time")
+    if stop_on_root and 0.0 in init.Omega:
+        i = init.Omega.index(0.0)
+        raise DomainError(
+            f"root at start: initial Omega{i + 1} = 0, so the run would stop at T = {init.T}"
+        )
     rhs = system_rhs(system)
 
     def f(t, y):
@@ -492,8 +495,6 @@ def schwarz_residual(lambda_fn, z, h) -> float:
     lambda'''/lambda' - (3/2)(lambda''/lambda')^2
       + (1/2)(1/l^2 + 1/(l-1)^2 - 1/(l(l-1))) lambda'^2
     """
-    from .errors import StepTooLarge
-
     z = complex(z)
     if h > z.imag / 10:
         raise StepTooLarge(f"h = {h} too large for Im(z) = {z.imag}")
@@ -527,8 +528,6 @@ def chazy_from_dh(state) -> ChazyData:
 
 def chazy_residual(y_fn, z, h) -> float:
     """|y''' - 2 y y'' + 3 (y')^2| by central differences."""
-    from .errors import StepTooLarge
-
     z = complex(z)
     if h > z.imag / 10:
         raise StepTooLarge(f"h = {h} too large for Im(z) = {z.imag}")

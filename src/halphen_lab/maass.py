@@ -25,6 +25,7 @@ from scipy.special import kv as _besselk
 
 from .errors import DivergentParameter, DomainError, OutOfRange, PoleAtS, StepTooLarge
 from .modforms import ModularPoint
+from .numdiff import second_5pt
 
 __all__ = [
     "LatticeSumSpec",
@@ -81,11 +82,9 @@ def _as_tau(tau) -> complex:
 
 
 def lattice_points(tau, R: float):
-    """All m + n*tau with 0 < |m + n tau| <= R, as a complex array.
-
-    Enumerated by shells of max(|m|, |n|) so the sum can accumulate in
-    roughly ascending magnitude.
-    """
+    """All m + n*tau with 0 < |m + n tau| <= R, as a complex array in
+    grid order (m outer, n inner); callers sum with math.fsum, which is
+    exactly rounded and so independent of the order."""
     tau = _as_tau(tau)
     y = tau.imag
     n_max = int(math.floor(R / y))
@@ -94,11 +93,8 @@ def lattice_points(tau, R: float):
     n = np.arange(-n_max, n_max + 1)
     mm, nn = np.meshgrid(m, n, indexing="ij")
     p = mm + nn * tau
-    shell = np.maximum(np.abs(mm), np.abs(nn))
     ap = np.abs(p)
-    keep = (ap > 0) & (ap <= R)
-    order = np.argsort(shell[keep], kind="stable")
-    return p[keep][order]
+    return p[(ap > 0) & (ap <= R)]
 
 
 def eisenstein_lattice(
@@ -238,14 +234,10 @@ def laplacian_eigencheck(s: float, tau, h: float, n_max: int = 40) -> float:
     def E(xx, yy):
         return eisenstein_fourier(s, complex(xx, yy), n_max=n_max).value
 
-    def second(f, t0):
-        return (
-            -f(t0 + 2 * h) + 16 * f(t0 + h) - 30 * f(t0) + 16 * f(t0 - h) - f(t0 - 2 * h)
-        ) / (12 * h * h)
-
+    steps = (-2, -1, 0, 1, 2)
     e0 = E(x, y)
-    exx = second(lambda t: E(t, y), x)
-    eyy = second(lambda t: E(x, t), y)
+    exx = second_5pt([E(x + k * h, y) for k in steps], h)
+    eyy = second_5pt([E(x, y + k * h) for k in steps], h)
     return abs(y * y * (exx + eyy) - s * (s - 1) * e0) / abs(e0)
 
 

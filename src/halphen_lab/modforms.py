@@ -128,14 +128,12 @@ def _as_point(tau) -> ModularPoint:
 
 
 def dedekind_eta(tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
-    """eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n).
-
-    The 24th root uses the principal logarithm of q.
-    """
+    """eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), with q^(1/24) = e^(i pi tau/12)
+    so that eta(tau + 1) = e^(i pi/12) eta(tau)."""
     pt = _as_point(tau)
     pt.require_qseries_domain()
     q = pt.q
-    prefactor = cmath.exp(cmath.log(q) / 24)
+    prefactor = cmath.exp(1j * cmath.pi * pt.tau / 12)
     prod = 1.0 + 0j
     qn = 1.0 + 0j
     absq = abs(q)

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
+import halphen_lab
 from halphen_lab.cli import main, parse_complex, parse_triple
 
 
@@ -58,6 +63,11 @@ class TestSolve:
         code = main(["solve", "--t0", "1", "--t1", "5"])
         assert code == 1
 
+    @pytest.mark.parametrize("samples", ["1", "0", "-4"])
+    def test_usage_error_too_few_samples(self, capsys, samples):
+        code = main(["solve", "--halphen", "--t0", "1", "--t1", "3", "--samples", samples])
+        assert code == 1
+
 
 class TestCurvature:
     def test_taubnut_self_dual(self, capsys):
@@ -67,6 +77,24 @@ class TestCurvature:
         assert payload["flags"]["SelfDual"]
         assert payload["flags"]["RicciFlat"]
         assert max(r["wplus_norm"] for r in payload["samples"]) > 0
+
+    @pytest.mark.parametrize("value", ["0", "0,-1,2", "a,b"])
+    def test_taubnut_needs_two_numbers(self, capsys, value):
+        code = main(["curvature", "--taubnut", value])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", [["--halphen"], ["--taubnut", "0,-1"]])
+    def test_usage_error_too_few_samples(self, capsys, source):
+        code = main(["curvature", *source, "--samples", "1"])
+        assert code == 1
+
+    def test_zero_initial_component_is_root_at_start(self, capsys):
+        code = main(["curvature", "--init", "1,0,3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "DomainError" in err and "Omega2 = 0" in err
+        assert "monotone" not in err
 
     def test_halphen_endpoint_bolt(self, capsys):
         code, out = run(
@@ -178,3 +206,18 @@ class TestOutputs:
     def test_unknown_command_is_usage_error(self, capsys):
         code = main(["frobnicate"])
         assert code == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, threads):
+        code = main(["--threads", threads, "theta", "--z", "1i"])
+        assert code == 1
+
+
+def test_cli_import_skips_scipy_signal():
+    src = str(Path(halphen_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, halphen_lab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

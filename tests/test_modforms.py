@@ -52,6 +52,12 @@ class TestDedekindEta:
         rhs = abs(cmath.sqrt(-1j * z) * dedekind_eta(z))
         assert abs(lhs - rhs) < 1e-12
 
+    @pytest.mark.parametrize("z", [0.3 + 1j, -0.45 + 0.9j, 0.1 + 1.7j, 1.2 + 0.8j])
+    def test_automorphy_with_phase(self, z):
+        eta = dedekind_eta(z)
+        assert abs(dedekind_eta(z + 1) - cmath.exp(1j * math.pi / 12) * eta) < 1e-10 * abs(eta)
+        assert abs(dedekind_eta(-1 / z) - cmath.sqrt(-1j * z) * eta) < 1e-10 * abs(eta)
+
     def test_log_derivative_is_e2(self):
         # (12 / i pi) d/dz log eta = E2
         z, h = 0.2 + 1.3j, 1e-5
