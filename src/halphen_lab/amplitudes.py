@@ -207,15 +207,29 @@ def _weight_grid(tau: complex, R: int):
     return M, N, W
 
 
+def _next_5_smooth(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _convolve(A, B):
     """Linear 2-D convolution of A and B by real FFT.
 
-    Each axis is zero-padded to the next power of two at or above the
-    output length: the exact length 4R+1 can be prime (R = 60 gives 241),
-    where an unpadded transform is ten times slower.
+    Each axis is zero-padded to the next 5-smooth length (2^a 3^b 5^c) at
+    or above the output length: the exact length 4R+1 can be prime
+    (R = 60 gives 241), where an unpadded transform is ten times slower,
+    and the next power of two can be half again as long (R = 20 pads to
+    81, not 128).
     """
     shape = [a + b - 1 for a, b in zip(A.shape, B.shape)]
-    fshape = [1 << (n - 1).bit_length() for n in shape]
+    fshape = [_next_5_smooth(n) for n in shape]
     out = np.fft.irfft2(np.fft.rfft2(A, fshape) * np.fft.rfft2(B, fshape), fshape)
     return out[: shape[0], : shape[1]]
 
@@ -365,11 +379,12 @@ def _fundamental_cycles(edges):
             continue
         vec = [0] * len(edges)
         vec[idx] = 1  # loop momentum flows a -> b on the chord
-        # close the loop through the forest: b -> root -> a
+        # close the loop through the forest: b -> root against each tree
+        # edge's orientation into its vertex, root -> a along it
         for e, sgn in path_to_root(b):
-            vec[e] += sgn
-        for e, sgn in path_to_root(a):
             vec[e] -= sgn
+        for e, sgn in path_to_root(a):
+            vec[e] += sgn
         cycles.append(vec)
     return verts, cycles
 

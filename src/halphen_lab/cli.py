@@ -15,7 +15,6 @@ import os
 import sys
 
 from .errors import HalphenLabError
-from .maass import LatticeSumSpec
 from .modforms import ModularPoint, QTruncation, ThetaChar
 
 
@@ -81,10 +80,12 @@ def _emit(payload, out_path, is_text=False):
 
 
 def _set_threads(args):
+    # Runs before any subcommand imports numpy, whose BLAS reads these
+    # variables once, at load; an explicit request overrides the shell's.
     n = args.threads or os.environ.get("HALPHEN_LAB_THREADS")
     if n:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+            os.environ[var] = str(n)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def _cmd_flow(args):
 
 
 def _cmd_eisenstein(args):
-    from .maass import eisenstein_fourier, eisenstein_lattice
+    from .maass import LatticeSumSpec, eisenstein_fourier, eisenstein_lattice
 
     tau = parse_complex(args.tau)
     spec = LatticeSumSpec(R=args.cutoff)
@@ -206,6 +207,7 @@ def _cmd_eisenstein(args):
 
 def _cmd_dsum(args):
     from .amplitudes import kronecker_eisenstein_Dn
+    from .maass import LatticeSumSpec
 
     tau = ModularPoint(parse_complex(args.tau))
     val = kronecker_eisenstein_Dn(args.n, tau, LatticeSumSpec(R=args.cutoff))
@@ -225,6 +227,7 @@ def _cmd_dsum(args):
 
 def _cmd_graphd(args):
     from .amplitudes import GraphMultiplicities, graph_D
+    from .maass import LatticeSumSpec
 
     mult = GraphMultiplicities(tuple(int(x) for x in args.mult.split(",")))
     tau = ModularPoint(parse_complex(args.tau))

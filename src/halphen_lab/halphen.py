@@ -20,13 +20,12 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import linear_sum_assignment
 
 from . import numdiff
 from .errors import DomainError, OutOfRange, PoleHit, StepTooLarge, StepUnderflow
@@ -274,6 +273,8 @@ def integrate(
         raise DomainError(
             f"root at start: initial Omega{i + 1} = 0, so the run would stop at T = {init.T}"
         )
+    from scipy.integrate import solve_ivp
+
     rhs = system_rhs(system)
 
     def f(t, y):
@@ -345,6 +346,8 @@ def integrate_ray(
 
     Returns (s values, complex omega samples of shape (n, 3)).
     """
+    from scipy.integrate import solve_ivp
+
     rhs = system_rhs(system)
     direction = cmath.exp(1j * theta_angle)
 
@@ -542,16 +545,18 @@ def omegas_from_chazy(cd: ChazyData, reference=None):
     """Recover {omega_i} as roots of
     w^3 + y/2 w^2 + y'/2 w + y''/12 = 0.
 
-    If `reference` is given, roots are matched to it by minimal-cost
-    bipartite assignment, so the returned order is meaningful.
+    If `reference` is given, roots are matched to it by the permutation
+    of least total distance, so the returned order is meaningful.
     """
     roots = np.roots([1.0, cd.y / 2, cd.y_prime / 2, cd.y_double_prime / 12])
     if reference is None:
         return tuple(roots)
     ref = _components(reference)
-    cost = np.array([[abs(r - w) for r in roots] for w in ref])
-    _, cols = linear_sum_assignment(cost)
-    return tuple(roots[j] for j in cols)
+    perm = min(
+        itertools.permutations(range(3)),
+        key=lambda p: sum(abs(roots[j] - w) for j, w in zip(p, ref)),
+    )
+    return tuple(roots[j] for j in perm)
 
 
 def reflection_check(T: float, trunc: QTruncation = DEFAULT_TRUNC):

@@ -16,12 +16,11 @@ other anywhere in this package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import kv as _besselk
 
 from .errors import DivergentParameter, DomainError, OutOfRange, PoleAtS, StepTooLarge
 from .modforms import ModularPoint
@@ -147,24 +146,28 @@ def riemann_zeta(s: float, terms: int = 64) -> float:
             2.0**s
             * math.pi ** (s - 1)
             * math.sin(math.pi * s / 2)
-            * _gamma(1 - s)
+            * math.gamma(1 - s)
             * riemann_zeta(1 - s, terms)
         )
-    # eta(s) = sum (-1)^(n-1) n^-s with the Cohen--Rodriguez Villegas--
-    # Zagier acceleration weights d_k
-    n = terms
-    dk = np.zeros(n + 1)
-    t = float(n)
-    dk[0] = t
-    for i in range(1, n + 1):
-        t = t * 2 * (n + i - 1) * (n - i + 1) / ((2 * i - 1) * (2 * i))
-        dk[i] = dk[i - 1] + t
-    dn = dk[n]
+    weights, dn = _eta_weights(terms)
     eta = 0.0
-    for k in range(1, n + 1):
-        eta += (-1) ** (k - 1) * (dn - dk[k - 1]) / float(k) ** s
+    for k, w in enumerate(weights, 1):
+        eta += w / float(k) ** s
     eta /= dn
     return eta / (1 - 2.0 ** (1 - s))
+
+
+@functools.cache
+def _eta_weights(n: int):
+    """Signed Cohen--Rodriguez Villegas--Zagier weights (-1)^(k-1)(d_n -
+    d_(k-1)), k = 1..n, and d_n, for eta(s) = sum (-1)^(k-1) k^-s."""
+    dk = [float(n)]
+    t = float(n)
+    for i in range(1, n + 1):
+        t = t * 2 * (n + i - 1) * (n - i + 1) / ((2 * i - 1) * (2 * i))
+        dk.append(dk[-1] + t)
+    dn = dk[n]
+    return tuple((-1) ** (k - 1) * (dn - dk[k - 1]) for k in range(1, n + 1)), dn
 
 
 def completed_zeta(s: float) -> float:
@@ -172,7 +175,7 @@ def completed_zeta(s: float) -> float:
     if s in (0.0, 1.0):
         raise PoleAtS(f"completed zeta has a pole at s = {s}")
     if s >= 0.5:
-        return riemann_zeta(s) * _gamma(s / 2) * math.pi ** (-s / 2)
+        return riemann_zeta(s) * math.gamma(s / 2) * math.pi ** (-s / 2)
     # For s < 1/2 the naive product is 0 * inf at the trivial zeros;
     # combine zeta's functional equation with the Gamma reflection
     # formula into a form finite everywhere:
@@ -180,10 +183,31 @@ def completed_zeta(s: float) -> float:
     return (
         2.0**s
         * math.pi ** (s / 2)
-        * _gamma(1 - s)
-        / _gamma(1 - s / 2)
+        * math.gamma(1 - s)
+        / math.gamma(1 - s / 2)
         * riemann_zeta(1 - s)
     )
+
+
+def _besselk(nu: float, x):
+    """K_nu(x) for an array of x > 0 by the trapezoid rule on
+
+        K_nu(x) = e^(-x) int_0^inf e^(-x (cosh t - 1)) cosh(nu t) dt,
+
+    which converges geometrically in the step for this integrand.  The
+    step is h = min(0.2, 0.5/sqrt(x), 1.5/(|nu| + 1)) and the rule runs to
+    t_max with x (cosh t - 1) - |nu| t = 40."""
+    nu = abs(nu)
+    if x.size == 0:
+        return x
+    h = np.minimum(np.minimum(0.2, 0.5 / np.sqrt(x)), 1.5 / (nu + 1))
+    t_max = np.arccosh(1 + 40 / x)
+    for _ in range(8):  # contraction: slope nu / (x sinh t) < nu / (40 + nu t)
+        t_max = np.arccosh(1 + (40 + nu * t_max) / x)
+    t = np.arange(1, int(np.ceil(np.max(t_max / h))) + 1) * h[:, None]
+    e = x[:, None] * (np.cosh(t) - 1)
+    f = 0.5 * (np.exp(nu * t - e) + np.exp(-nu * t - e))
+    return np.exp(-x) * h * (0.5 + f.sum(axis=1))
 
 
 def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
@@ -191,19 +215,20 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
 
     Normalized to the full lattice sum sum' y^s/|p|^(2s), i.e. 2*zeta(2s)
     times the primitive (coprime-pair) Eisenstein series whose expansion
-    has leading term y^s.
+    has leading term y^s.  E_s is SL(2,Z)-invariant, so tau is first
+    folded into the fundamental domain, where Im tau >= sqrt(3)/2.
     """
     if s == 1:
         raise PoleAtS("E_s has a pole at s = 1")
-    tau = _as_tau(tau)
+    tau = fold_to_fundamental(tau)
     x, y = tau.real, tau.imag
     norm = 2 * riemann_zeta(2 * s)
     xi2s = completed_zeta(2 * s)
     zero_modes = y**s + completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)
     total = complex(zero_modes)
     last_term = 0.0
-    for n in range(1, n_max + 1):
-        bessel = _besselk(s - 0.5, 2 * math.pi * n * y)
+    besselk = _besselk(s - 0.5, 2 * math.pi * np.arange(1, n_max + 1) * y)
+    for n, bessel in enumerate(besselk.tolist(), 1):
         if bessel == 0.0 or not math.isfinite(bessel):
             # underflow of the exponentially small tail: legitimately drop
             last_term = 0.0

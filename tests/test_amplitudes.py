@@ -237,6 +237,20 @@ def _enumerated_graph_sum(mult, tau, R):
 
 
 class TestGraphD:
+    def test_cycles_conserve_momentum(self):
+        _, cycles = _fundamental_cycles(GraphMultiplicities((1, 1, 0, 1, 0, 0)).edges())
+        assert cycles == [[1, -1, 1]]
+        for w in range(1, 7):
+            for mult in itertools.product(range(w + 1), repeat=6):
+                if sum(mult) != w:
+                    continue
+                edges = GraphMultiplicities(mult).edges()
+                verts, cycles = _fundamental_cycles(edges)
+                for c in cycles:
+                    for v in verts:
+                        inflow = sum(q * ((b == v) - (a == v)) for q, (a, b) in zip(c, edges))
+                        assert inflow == 0, (mult, c, v)
+
     def test_fft_reduction_matches_enumeration(self):
         # every multiplicity vector of weight <= 6 at a generic tau
         tau = ModularPoint(0.3 + 1.1j)

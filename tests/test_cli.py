@@ -213,11 +213,63 @@ class TestOutputs:
         assert code == 1
 
 
-def test_cli_import_skips_scipy_signal():
+def _run_isolated(code, **env):
     src = str(Path(halphen_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, halphen_lab.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run(
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
+
+
+_LOADED = (
+    "import sys; from halphen_lab.cli import main; main({argv!r});"
+    "print(sorted({{m.split('.')[0] for m in sys.modules}} & {{'numpy', 'scipy'}}))"
+)
+
+
+def test_cli_import_skips_numpy():
+    out = _run_isolated("import sys, halphen_lab.cli; print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--classical", "3", "--z", "0.1+1.1i"],
+        ["dsum", "--n", "3", "--tau", "1.1i", "--cutoff", "8"],
+        ["graphd", "--mult", "1,1,1,1,1,0", "--tau", "1.1i", "--cutoff", "4"],
+        ["amplitude", "--aps", "0.2", "--apt", "-0.3"],
+        ["eisenstein", "--s", "2", "--tau", "1.1i", "--both-methods", "--cutoff", "8"],
+        ["conformal", "--cp", "eisenstein"],
+        ["curvature", "--taubnut", "0,-1", "--samples", "40"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommand_imports_no_scipy(argv):
+    # theta needs only cmath; the rest need numpy but no ODE integrator
+    loaded = [] if argv[0] == "theta" else ["numpy"]
+    out = _run_isolated(_LOADED.format(argv=argv))
+    assert out.splitlines()[-1] == str(loaded)
+
+
+def test_threads_set_before_numpy_loads():
+    # a meta-path finder records the variable when numpy is first looked up
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from halphen_lab.cli import main\n"
+        "main(['--threads', '2', 'dsum', '--n', '2', '--tau', '1.1i', '--cutoff', '4'])\n"
+        "print(seen)\n"
+    )
+    out = _run_isolated(code, OPENBLAS_NUM_THREADS="7", HALPHEN_LAB_THREADS="")
+    assert out.splitlines()[-1] == "['2']"
+
+
+def test_cli_import_skips_scipy_signal():
+    out = _run_isolated("import sys, halphen_lab.cli; print('scipy.signal' in sys.modules)")
     assert out.strip() == "False"

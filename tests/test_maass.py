@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import kv
@@ -9,6 +10,7 @@ from scipy.special import kv
 from halphen_lab.errors import DivergentParameter, PoleAtS, StepTooLarge
 from halphen_lab.maass import (
     LatticeSumSpec,
+    _besselk,
     completed_zeta,
     divisor_sigma,
     eisenstein_fourier,
@@ -28,6 +30,25 @@ def brute_lattice(s, tau, R):
     return float(tau.imag**s * np.sum(np.where(keep, p2 ** (-s), 0.0)))
 
 
+def mpmath_fourier(s, tau, terms=40):
+    """Oracle: the lattice-normalized Fourier--Bessel expansion of E_s,
+    2 zeta(2s) y^s + 2 sqrt(pi) Gamma(s-1/2) zeta(2s-1) y^(1-s) / Gamma(s)
+    + 8 pi^s sqrt(y) / Gamma(s) sum n^(s-1/2) sigma_(1-2s)(n)
+      K_(s-1/2)(2 pi n y) cos(2 pi n x), in 30-digit arithmetic."""
+    with mp.workdps(30):
+        s, x, y = mp.mpf(s), tau.real, tau.imag
+        total = 2 * mp.zeta(2 * s) * y**s + 2 * mp.sqrt(mp.pi) * mp.gamma(
+            s - 0.5
+        ) * mp.zeta(2 * s - 1) * y ** (1 - s) / mp.gamma(s)
+        for n in range(1, terms + 1):
+            sigma = sum(mp.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
+            total += (
+                8 * mp.pi**s * mp.sqrt(y) / mp.gamma(s) * mp.mpf(n) ** (s - 0.5)
+                * sigma * mp.besselk(s - 0.5, 2 * mp.pi * n * y) * mp.cos(2 * mp.pi * n * x)
+            )
+        return float(total)
+
+
 class TestScalarHelpers:
     def test_divisor_sigma(self):
         assert divisor_sigma(3, 1) == 1
@@ -38,6 +59,23 @@ class TestScalarHelpers:
         assert riemann_zeta(2) == pytest.approx(math.pi**2 / 6, rel=1e-12)
         assert riemann_zeta(3) == pytest.approx(1.2020569031595943, rel=1e-12)
         assert riemann_zeta(1.5) == pytest.approx(2.612375348685488, rel=1e-11)
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 5.0, 41.0])
+    def test_riemann_zeta_matches_uncached_loop(self, s):
+        # the accelerated eta series with its weights rebuilt on every call
+        n = 64
+        dk = np.zeros(n + 1)
+        t = float(n)
+        dk[0] = t
+        for i in range(1, n + 1):
+            t = t * 2 * (n + i - 1) * (n - i + 1) / ((2 * i - 1) * (2 * i))
+            dk[i] = dk[i - 1] + t
+        dn = dk[n]
+        eta = 0.0
+        for k in range(1, n + 1):
+            eta += (-1) ** (k - 1) * (dn - dk[k - 1]) / float(k) ** s
+        eta /= dn
+        assert riemann_zeta(s) == eta / (1 - 2.0 ** (1 - s))
 
     def test_completed_zeta_values(self):
         assert completed_zeta(2) == pytest.approx(math.pi / 6, rel=1e-12)
@@ -53,9 +91,16 @@ class TestScalarHelpers:
 
     def test_bessel_half_integer_closed_form(self):
         # K_{1/2}(x) = sqrt(pi / 2x) e^{-x}; sanity for the kernel we rely on
-        for x in (0.5, 2.0, 10.0):
-            exact = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
-            assert kv(0.5, x) == pytest.approx(exact, rel=1e-12)
+        xs = np.array([0.5, 2.0, 10.0])
+        exact = np.sqrt(np.pi / (2 * xs)) * np.exp(-xs)
+        assert _besselk(0.5, xs) == pytest.approx(exact, rel=1e-12)
+        assert _besselk(0.5, np.arange(1, 1)).shape == (0,)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, -3.7, 10.0])
+    def test_bessel_matches_mpmath(self, nu):
+        xs = np.geomspace(0.2, 700.0, 25)
+        ref = [float(mp.besselk(nu, x)) for x in xs]
+        assert _besselk(nu, xs) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 class TestLattice:
@@ -110,6 +155,15 @@ class TestFourier:
     def test_pole_at_one(self):
         with pytest.raises(PoleAtS):
             eisenstein_fourier(1.0, 1j)
+
+    @pytest.mark.parametrize("s", [1.5, 2.0])
+    def test_folds_tau_near_real_axis(self, s):
+        # 0.2 + 0.06i folds by S then T^5; the oracle expands there
+        tau = mp.mpc(-1) / mp.mpc(0.2, 0.06) + 5
+        assert abs(tau) > 1 and abs(tau.real) <= 0.5
+        assert eisenstein_fourier(s, 0.2 + 0.06j).value == pytest.approx(
+            mpmath_fourier(s, tau), rel=1e-12
+        )
 
 
 class TestAgreement:
