@@ -6,7 +6,7 @@ import importlib
 __version__ = "0.1.0"
 
 # Submodules load on first access (PEP 562), so a CLI call imports numpy
-# and scipy only when its subcommand needs them.
+# only when its subcommand needs it.
 _SUBMODULES = frozenset(
     {
         "amplitudes",

@@ -23,6 +23,8 @@ import io
 import itertools
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +177,182 @@ def _components(state):
 # ---------------------------------------------------------------------------
 # integration
 
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980) with the step control and
+# initial-step rule of Hairer-Norsett-Wanner, Solving ODEs I, II.4-5, and
+# Shampine's quartic dense output: the method and constants of scipy's RK45.
+# Stage k_s is rhs(y + h sum_j A_sj k_j); k7 = rhs(y_new) is reused as the
+# next step's k1 (FSAL).
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# error estimate: difference of the embedded 4th-order and the 5th-order result
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+)
+# dense output y(t + x h) = y + h sum_m Q_m x^(m+1) with Q_m = sum_s P_sm k_s
+_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EPS = sys.float_info.epsilon
+
+
+def _rms(v) -> float:
+    return math.sqrt(sum([x * x for x in v])) / len(v) ** 0.5
+
+
+def _dopri5(rhs, t0, y0, t_end, rtol, atol, events=()):
+    """Integrate the autonomous system y' = rhs(y) from t0 towards t_end.
+
+    `y0` is a sequence of floats and `rhs` maps a sequence of floats to one.
+    Each event is a function g(y); a sign change of g over an accepted step
+    (g <= 0 <= g_new or the reverse) ends the run at the root of g on the
+    dense output, found by bisection to 4 EPS, the earliest root in the
+    direction of integration winning.
+
+    Returns (ts, ys, fs, nfev, hit): the accepted sample times, states and
+    derivatives, the number of rhs calls made by the stepper, and the index
+    of the event that ended the run (None if it reached t_end).
+    """
+    t, t_end = float(t0), float(t_end)
+    direction = 1.0 if t_end > t else -1.0
+    y = [float(v) for v in y0]
+    f = rhs(y)
+    ts, ys, fs = [t], [y], [f]
+
+    # initial step (Hairer-Norsett-Wanner II.4)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_end - t))
+    f1 = rhs([v + h0 * direction * d for v, d in zip(y, f)])
+    nfev = 2
+    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, abs(t_end - t))
+
+    g = [ev(y) for ev in events]
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow("Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            k1 = f
+            k2 = rhs([a + h * (_A21 * p) for a, p in zip(y, k1)])
+            k3 = rhs([a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
+            k4 = rhs([
+                a + h * (_A41 * p + _A42 * q + _A43 * r)
+                for a, p, q, r in zip(y, k1, k2, k3)
+            ])
+            k5 = rhs([
+                a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * u)
+                for a, p, q, r, u in zip(y, k1, k2, k3, k4)
+            ])
+            k6 = rhs([
+                a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * u + _A65 * v)
+                for a, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)
+            ])
+            y_new = [
+                a + h * (_B1 * p + _B3 * r + _B4 * u + _B5 * v + _B6 * w)
+                for a, p, r, u, v, w in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = rhs(y_new)
+            nfev += 6
+            err = _rms([
+                h * (_E1 * p + _E3 * r + _E4 * u + _E5 * v + _E6 * w + _E7 * x)
+                / (atol + max(abs(a), abs(b)) * rtol)
+                for a, b, p, r, u, v, w, x in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+            ])
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            rejected = True
+
+        if events:
+            g_new = [ev(y_new) for ev in events]
+            active = [
+                i for i, (a, b) in enumerate(zip(g, g_new))
+                if a <= 0 <= b or a >= 0 >= b
+            ]
+            if active:
+                dense = _dense_output(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
+                # earliest root in the direction of integration, then lowest index
+                key, hit = min(
+                    (direction * _locate_root(events[i], dense, t, t_new, g[i]), i)
+                    for i in active
+                )
+                y_hit = dense(direction * key)
+                ts.append(direction * key)
+                ys.append(y_hit)
+                fs.append(rhs(y_hit))
+                return ts, ys, fs, nfev, hit
+            g = g_new
+        t, y, f = t_new, y_new, k7
+        ts.append(t)
+        ys.append(y)
+        fs.append(f)
+        if direction * (t - t_end) >= 0:
+            return ts, ys, fs, nfev, None
+
+
+def _dense_output(t_old, h, y_old, ks):
+    """The step's quartic interpolant t -> y(t) from its seven stages."""
+    Q = [
+        [sum([row[m] * k for row, k in zip(_P, kcol)]) for m in range(4)]
+        for kcol in zip(*ks)
+    ]
+
+    def y_at(t):
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return [
+            a + h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4)
+            for a, (q0, q1, q2, q3) in zip(y_old, Q)
+        ]
+
+    return y_at
+
+
+def _locate_root(event, dense, a, b, g_a):
+    """Root of event(dense(t)) between a and b, given g_a = event(dense(a)),
+    by bisection to 4 EPS (absolute plus relative)."""
+    if g_a == 0:
+        return a
+    while abs(b - a) > 4 * _EPS * (1 + abs(b)):
+        m = 0.5 * (a + b)
+        g_m = event(dense(m))
+        if g_m == 0:
+            return m
+        if (g_m > 0) == (g_a > 0):
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
 
 @dataclass
 class Trajectory:
@@ -256,12 +434,11 @@ def integrate(
     tol: float = 1e-9,
     stop_on_root: bool = True,
     stop_on_blowup: bool = True,
-    max_step: float = np.inf,
 ) -> Trajectory:
-    """Adaptive RK45 integration with terminal events.
+    """Adaptive Dormand-Prince 5(4) integration with terminal events.
 
     Root crossings of any component and |Omega| blowup past 1/tol are
-    located by the integrator's root finder and terminate the run when
+    located on the integrator's dense output and terminate the run when
     the corresponding flag is set.
     """
     if tol <= 0:
@@ -273,65 +450,30 @@ def integrate(
         raise DomainError(
             f"root at start: initial Omega{i + 1} = 0, so the run would stop at T = {init.T}"
         )
-    from scipy.integrate import solve_ivp
-
     rhs = system_rhs(system)
-
-    def f(t, y):
-        return rhs(y)
-
-    events = []
-    if stop_on_root:
-        for i in range(3):
-            ev = lambda t, y, i=i: y[i]
-            ev.terminal = True
-            events.append(ev)
-    blow = None
+    events = [operator.itemgetter(i) for i in range(3)] if stop_on_root else []
     if stop_on_blowup:
         limit = 1.0 / tol
+        events.append(lambda y: max(abs(y[0]), abs(y[1]), abs(y[2])) - limit)
 
-        def blow(t, y):
-            return max(abs(y[0]), abs(y[1]), abs(y[2])) - limit
-
-        blow.terminal = True
-        events.append(blow)
-
-    sol = solve_ivp(
-        f,
-        (init.T, T_end),
-        np.asarray(init.Omega, dtype=float),
-        method="RK45",
-        rtol=tol,
-        atol=tol,
-        max_step=max_step,
-        events=events,
-        dense_output=False,
-    )
-    if sol.status == -1:
-        raise StepUnderflow(sol.message)
-
+    T, Omega, Omega_dot, nfev, hit = _dopri5(rhs, init.T, init.Omega, T_end, tol, tol, events)
     reason = "completed"
     root_component = None
-    if sol.status == 1:
-        hit = [i for i, te in enumerate(sol.t_events) if len(te)]
-        if stop_on_root and hit and hit[0] < 3:
+    if hit is not None:
+        if stop_on_root and hit < 3:
             reason = "root_crossing"
-            root_component = hit[0]
+            root_component = hit
         else:
             reason = "blowup"
-
-    T = sol.t
-    Omega = sol.y.T
-    Omega_dot = np.array([rhs(tuple(row)) for row in Omega], dtype=float)
     return Trajectory(
         system=system.lower(),
-        T=T,
-        Omega=Omega,
-        Omega_dot=Omega_dot,
+        T=np.array(T),
+        Omega=np.array(Omega),
+        Omega_dot=np.array(Omega_dot),
         tol=tol,
         reason=reason,
         root_component=root_component,
-        meta={"nfev": int(sol.nfev), "status": int(sol.status)},
+        meta={"nfev": nfev, "status": 0 if hit is None else 1},
     )
 
 
@@ -346,12 +488,12 @@ def integrate_ray(
 
     Returns (s values, complex omega samples of shape (n, 3)).
     """
-    from scipy.integrate import solve_ivp
-
+    if s_end == 0:
+        raise DomainError("s_end must differ from 0")
     rhs = system_rhs(system)
     direction = cmath.exp(1j * theta_angle)
 
-    def f(s, y):
+    def f(y):
         w = (y[0] + 1j * y[1], y[2] + 1j * y[3], y[4] + 1j * y[5])
         d = [direction * dw for dw in rhs(w)]
         return [d[0].real, d[0].imag, d[1].real, d[1].imag, d[2].real, d[2].imag]
@@ -359,11 +501,9 @@ def integrate_ray(
     y0 = []
     for w in init.omega:
         y0 += [w.real, w.imag]
-    sol = solve_ivp(f, (0.0, s_end), y0, method="RK45", rtol=tol, atol=tol)
-    if sol.status == -1:
-        raise StepUnderflow(sol.message)
-    omega = sol.y[0::2].T + 1j * sol.y[1::2].T
-    return sol.t, omega
+    s, y, _, _, _ = _dopri5(f, 0.0, y0, s_end, tol, tol)
+    y = np.array(y)
+    return np.array(s), y[:, 0::2] + 1j * y[:, 1::2]
 
 
 # ---------------------------------------------------------------------------

@@ -142,13 +142,20 @@ def riemann_zeta(s: float, terms: int = 64) -> float:
         raise PoleAtS("zeta has a pole at s = 1")
     if s < 0:
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
+        try:
+            gamma = math.gamma(1 - s)
+        except OverflowError:
+            raise DomainError(f"Gamma(1 - s) in zeta's functional equation overflows at s = {s}")
         return (
             2.0**s
             * math.pi ** (s - 1)
             * math.sin(math.pi * s / 2)
-            * math.gamma(1 - s)
+            * gamma
             * riemann_zeta(1 - s, terms)
         )
+    if s >= 55:
+        # zeta(s) - 1 < 2^-54 rounds away, and k^s would overflow for s > 170.7
+        return 1.0
     weights, dn = _eta_weights(terms)
     eta = 0.0
     for k, w in enumerate(weights, 1):
@@ -174,19 +181,22 @@ def completed_zeta(s: float) -> float:
     """xi(s) = zeta(s) Gamma(s/2) pi^(-s/2); satisfies xi(s) = xi(1-s)."""
     if s in (0.0, 1.0):
         raise PoleAtS(f"completed zeta has a pole at s = {s}")
-    if s >= 0.5:
-        return riemann_zeta(s) * math.gamma(s / 2) * math.pi ** (-s / 2)
-    # For s < 1/2 the naive product is 0 * inf at the trivial zeros;
-    # combine zeta's functional equation with the Gamma reflection
-    # formula into a form finite everywhere:
-    #   xi(s) = 2^s pi^(s/2 - 1) Gamma(1-s) zeta(1-s) / Gamma(1 - s/2) * pi
-    return (
-        2.0**s
-        * math.pi ** (s / 2)
-        * math.gamma(1 - s)
-        / math.gamma(1 - s / 2)
-        * riemann_zeta(1 - s)
-    )
+    try:
+        if s >= 0.5:
+            return riemann_zeta(s) * math.gamma(s / 2) * math.pi ** (-s / 2)
+        # For s < 1/2 the naive product is 0 * inf at the trivial zeros;
+        # combine zeta's functional equation with the Gamma reflection
+        # formula into a form finite everywhere:
+        #   xi(s) = 2^s pi^(s/2 - 1) Gamma(1-s) zeta(1-s) / Gamma(1 - s/2) * pi
+        return (
+            2.0**s
+            * math.pi ** (s / 2)
+            * math.gamma(1 - s)
+            / math.gamma(1 - s / 2)
+            * riemann_zeta(1 - s)
+        )
+    except OverflowError:
+        raise DomainError(f"completed zeta overflows a float at s = {s}")
 
 
 def _besselk(nu: float, x):

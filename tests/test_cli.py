@@ -133,6 +133,21 @@ class TestEisenstein:
         code = main(["eisenstein", "--s", "1", "--tau", "1.1i"])
         assert code == 2
 
+    def test_large_s_is_leading_term(self, capsys):
+        # zeta(2s) rounds to 1, and the Fourier series is its zero mode y^s
+        code, out = run(
+            capsys, "eisenstein", "--s", "100", "--tau", "0.1+1.2i", "--both-methods"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["fourier"]["value"] == pytest.approx(2 * 1.2**100, rel=1e-9)
+
+    @pytest.mark.parametrize("argv", [["--s", "200", "--both-methods"], ["--s=-90"]])
+    def test_overflowing_s_is_numeric_failure(self, capsys, argv):
+        code = main(["eisenstein", "--tau", "0.1+1.2i", *argv])
+        assert code == 2
+        assert "DomainError" in capsys.readouterr().err
+
 
 class TestDsum:
     def test_d3_near_eisenstein_plus_zeta(self, capsys):
@@ -242,11 +257,16 @@ def test_cli_import_skips_numpy():
         ["eisenstein", "--s", "2", "--tau", "1.1i", "--both-methods", "--cutoff", "8"],
         ["conformal", "--cp", "eisenstein"],
         ["curvature", "--taubnut", "0,-1", "--samples", "40"],
+        pytest.param(["solve", "--init", "1,2,3", "--t0", "1", "--t1", "3"], id="solve-init"),
+        pytest.param(["flow", "--init", "1,2,3", "--t0", "1", "--t1", "3"], id="flow"),
+        pytest.param(
+            ["curvature", "--init", "1,2,3", "--t0", "1", "--t1", "3"], id="curvature-init"
+        ),
     ],
     ids=lambda argv: argv[0],
 )
 def test_subcommand_imports_no_scipy(argv):
-    # theta needs only cmath; the rest need numpy but no ODE integrator
+    # theta needs only cmath; the rest, ODE runs included, need only numpy
     loaded = [] if argv[0] == "theta" else ["numpy"]
     out = _run_isolated(_LOADED.format(argv=argv))
     assert out.splitlines()[-1] == str(loaded)
@@ -268,6 +288,11 @@ def test_threads_set_before_numpy_loads():
     )
     out = _run_isolated(code, OPENBLAS_NUM_THREADS="7", HALPHEN_LAB_THREADS="")
     assert out.splitlines()[-1] == "['2']"
+
+
+def test_halphen_import_skips_scipy():
+    out = _run_isolated("import sys, halphen_lab.halphen; print('scipy' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_cli_import_skips_scipy_signal():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from halphen_lab.errors import DomainError
+from halphen_lab.errors import DomainError, StepUnderflow
 from halphen_lab.halphen import (
     ChazyData,
     ModularTriplet,
@@ -29,6 +29,7 @@ from halphen_lab.halphen import (
     schwarz_residual,
     sl2_generate,
     sl2_generate_real,
+    system_rhs,
     taub_nut_family,
 )
 from halphen_lab.modforms import Moebius, eisenstein_holo
@@ -105,6 +106,79 @@ class TestIntegrate:
         assert lines[0].split(",")[0] == "T"
         assert len(lines) == len(traj.T) + 1
         assert "dh" in traj.to_json()
+
+
+def _scipy_integrate(system, init, T_end, tol=1e-9, stop_on_root=True, stop_on_blowup=True):
+    """Reference run: scipy's RK45 with the same terminal events, returning
+    (T, Omega, nfev, reason, root_component)."""
+    from scipy.integrate import solve_ivp
+
+    rhs = system_rhs(system)
+    events = []
+    if stop_on_root:
+        for i in range(3):
+            ev = lambda t, y, i=i: y[i]
+            ev.terminal = True
+            events.append(ev)
+    if stop_on_blowup:
+        blow = lambda t, y: max(abs(y[0]), abs(y[1]), abs(y[2])) - 1.0 / tol
+        blow.terminal = True
+        events.append(blow)
+    sol = solve_ivp(lambda t, y: rhs(y), (init.T, T_end), np.asarray(init.Omega),
+                    method="RK45", rtol=tol, atol=tol, events=events)
+    reason, root_component = "completed", None
+    if sol.status == 1:
+        hit = [i for i, te in enumerate(sol.t_events) if len(te)][0]
+        if stop_on_root and hit < 3:
+            reason, root_component = "root_crossing", hit
+        else:
+            reason = "blowup"
+    return sol.t, sol.y.T, sol.nfev, reason, root_component
+
+
+class TestIntegratorParity:
+    """The Dormand-Prince stepper against scipy's RK45, the same method:
+    same steps, RHS calls and stopping event; times and states agree to
+    rounding (the last digits differ with the order of the tableau sums)."""
+
+    @pytest.mark.parametrize(
+        "system, init, T0, T_end, tol, reason",
+        [
+            ("dh", (1.0, 2.0, 3.0), 1.0, 10.0, 1e-10, "completed"),
+            ("lagrange", (0.3, 0.2, 0.1), 0.0, 1.0, 1e-9, "completed"),
+            ("dh", (-1.0, 2.0, 3.0), 0.0, 50.0, 1e-9, "root_crossing"),
+            ("lagrange", (0.3, -0.2, 0.1), 0.0, 3.0, 1e-9, "root_crossing"),
+            ("dh", (1.0, 2.0, 3.0), 1.0, 0.0, 1e-9, "root_crossing"),
+            ("lagrange", (0.1, 0.5, 0.6), 1.0, -5.0, 1e-9, "root_crossing"),
+            ("dh", (1.0, 1.0, 1.0), 1.0, 0.0, 1e-6, "blowup"),
+            ("dh", (0.3, 0.5, -0.4), 1.0, -10.0, 1e-9, "blowup"),
+            ("lagrange", (0.7, 0.7, 1.9), 0.0, 2.0, 1e-9, "blowup"),
+        ],
+    )
+    def test_matches_scipy_rk45(self, system, init, T0, T_end, tol, reason):
+        start = RealTriAxial(init, T0)
+        T, Omega, nfev, ref_reason, ref_root = _scipy_integrate(system, start, T_end, tol)
+        traj = integrate(system, start, T_end, tol=tol)
+        assert (traj.reason, ref_reason) == (reason, reason)
+        assert traj.root_component == ref_root
+        assert len(traj.T) == len(T)
+        assert traj.meta == {"nfev": nfev, "status": 0 if reason == "completed" else 1}
+        if reason == "completed":
+            assert traj.T[-1] == T[-1]
+            assert np.max(np.abs(traj.Omega[-1] - Omega[-1])) <= 1e-12 * np.max(np.abs(Omega[-1]))
+        else:
+            # relative to max(|T|, 1): the blowup from (1,1,1) ends at T ~ 1e-6
+            assert abs(traj.T[-1] - T[-1]) <= 1e-13 * max(abs(T[-1]), 1.0)
+
+    def test_omega_dot_is_rhs_of_samples(self):
+        traj = integrate("dh", RealTriAxial((-1.0, 2.0, 3.0), 0.0), 50.0)
+        ref = np.array([dh_rhs(tuple(row)) for row in traj.Omega])
+        assert np.array_equal(traj.Omega_dot, ref)
+
+    def test_step_underflow_without_blowup_stop(self):
+        # Omega = 1/(2 - T) has a pole at T = 2 that nothing stops at
+        with pytest.raises(StepUnderflow, match="spacing between numbers"):
+            integrate("lagrange", RealTriAxial((1, 1, 1), 1), 10, stop_on_blowup=False)
 
 
 class TestClosedForm:

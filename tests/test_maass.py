@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from halphen_lab.errors import DivergentParameter, PoleAtS, StepTooLarge
+from halphen_lab.errors import DivergentParameter, DomainError, PoleAtS, StepTooLarge
 from halphen_lab.maass import (
     LatticeSumSpec,
     _besselk,
@@ -60,7 +60,7 @@ class TestScalarHelpers:
         assert riemann_zeta(3) == pytest.approx(1.2020569031595943, rel=1e-12)
         assert riemann_zeta(1.5) == pytest.approx(2.612375348685488, rel=1e-11)
 
-    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 5.0, 41.0])
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 5.0, 41.0, 55.0, 100.0, 170.0])
     def test_riemann_zeta_matches_uncached_loop(self, s):
         # the accelerated eta series with its weights rebuilt on every call
         n = 64
@@ -76,6 +76,22 @@ class TestScalarHelpers:
             eta += (-1) ** (k - 1) * (dn - dk[k - 1]) / float(k) ** s
         eta /= dn
         assert riemann_zeta(s) == eta / (1 - 2.0 ** (1 - s))
+
+    @pytest.mark.parametrize("s", [171.0, 400.0, 1e6])
+    def test_riemann_zeta_is_one_past_overflow(self, s):
+        # k^s overflows for s > 170.7; zeta(s) - 1 < 2^-54 already at s = 55
+        assert riemann_zeta(s) == 1.0
+
+    def test_riemann_zeta_reflection_overflow_is_domain_error(self):
+        # Gamma(1 - s) overflows for s < -170.6
+        assert riemann_zeta(-169.0) == pytest.approx(float(mp.zeta(-169)), rel=1e-12)
+        with pytest.raises(DomainError, match="s = -180.5"):
+            riemann_zeta(-180.5)
+
+    @pytest.mark.parametrize("s", [400.0, -400.0])
+    def test_completed_zeta_overflow_is_domain_error(self, s):
+        with pytest.raises(DomainError, match=f"s = {s}"):
+            completed_zeta(s)
 
     def test_completed_zeta_values(self):
         assert completed_zeta(2) == pytest.approx(math.pi / 6, rel=1e-12)
