@@ -189,18 +189,11 @@ def genus_one_propagator(
     )
 
 
-def _lattice_grid(tau: complex, R: int):
-    """|p|^2 on the (2R+1)^2 grid of p = m + n tau, origin at the center."""
-    m = np.arange(-R, R + 1)
-    n = np.arange(-R, R + 1)
-    M, N = np.meshgrid(m, n, indexing="ij")
-    P = M + N * tau
-    return M, N, np.abs(P) ** 2
-
-
 def _weight_grid(tau: complex, R: int):
-    """W(p) = tau_2 / (4 pi |p|^2) with W(0) = 0."""
-    M, N, p2 = _lattice_grid(tau, R)
+    """W(p) = tau_2 / (4 pi |p|^2) with W(0) = 0 on the (2R+1)^2 grid of
+    p = m + n tau, origin at the center."""
+    M, N = np.meshgrid(np.arange(-R, R + 1), np.arange(-R, R + 1), indexing="ij")
+    p2 = np.abs(M + N * tau) ** 2
     W = np.zeros_like(p2)
     mask = p2 > 0
     W[mask] = tau.imag / (4 * math.pi * p2[mask])

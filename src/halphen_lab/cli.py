@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .errors import HalphenLabError
+from .errors import HalphenLabError, dump_json
 from .modforms import ModularPoint, QTruncation, ThetaChar
 
 
@@ -67,7 +67,7 @@ def _int_at_least(lo: int):
 
 
 def _emit(payload, out_path, is_text=False):
-    text = payload if is_text else json.dumps(payload, sort_keys=True, indent=1)
+    text = payload if is_text else dump_json(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -92,16 +92,22 @@ def _set_threads(args):
 # subcommands
 
 
-def _cmd_solve(args):
+def _closed_form_trajectory(t0, t1, samples, tol):
+    """The real Halphen solution sampled at `samples` evenly spaced T."""
     import numpy as np
 
-    from .halphen import RealTriAxial, Trajectory, halphen_closed_form_real, integrate
+    from .halphen import Trajectory, halphen_closed_form_real
+
+    T = np.linspace(t0, t1, samples)
+    Om = np.array([halphen_closed_form_real(t).Omega for t in T])
+    return Trajectory.from_samples("dh", T, Om, tol=tol, meta={"source": "halphen-closed-form"})
+
+
+def _cmd_solve(args):
+    from .halphen import RealTriAxial, integrate
 
     if args.halphen:
-        T = np.linspace(args.t0, args.t1, args.samples)
-        Om = np.array([halphen_closed_form_real(t).Omega for t in T])
-        traj = Trajectory.from_samples("dh", T, Om, tol=args.tol,
-                                       meta={"source": "halphen-closed-form"})
+        traj = _closed_form_trajectory(args.t0, args.t1, args.samples, args.tol)
     else:
         if args.init is None:
             raise _UsageError("either --init or --halphen is required")
@@ -119,12 +125,10 @@ def _cmd_curvature(args):
     import numpy as np
 
     from . import geometry
-    from .halphen import RealTriAxial, Trajectory, halphen_closed_form_real, integrate, taub_nut_family
+    from .halphen import RealTriAxial, Trajectory, integrate, taub_nut_family
 
     if args.halphen:
-        T = np.linspace(args.t0, args.t1, args.samples)
-        Om = np.array([halphen_closed_form_real(t).Omega for t in T])
-        traj = Trajectory.from_samples("dh", T, Om)
+        traj = _closed_form_trajectory(args.t0, args.t1, args.samples, args.tol)
         system = "dh"
     elif args.taubnut:
         T0, Tstar = parse_floats(args.taubnut, 2)
@@ -140,30 +144,24 @@ def _cmd_curvature(args):
         traj = integrate(args.system, init, args.t1, tol=args.tol)
         system = args.system
 
-    rows = []
-    for i in range(len(traj.T)):
-        d = geometry.curvature_decomp(tuple(traj.Omega[i]), system)
-        rows.append(
-            {
-                "T": float(traj.T[i]),
-                "wplus_norm": float(max(abs(x) for x in d.weyl_plus)),
-                "wminus_norm": float(max(abs(x) for x in d.weyl_minus)),
-                "ricci_norm": float(
-                    max(abs(x) for x in d.ricci_plus + d.ricci_minus)
-                ),
-                "scalar": float(abs(d.scalar)),
-            }
-        )
+    decs = [geometry.curvature_decomp(tuple(row), system) for row in traj.Omega]
+    rows = [
+        {
+            "T": float(T),
+            "wplus_norm": float(max(abs(x) for x in d.weyl_plus)),
+            "wminus_norm": float(max(abs(x) for x in d.weyl_minus)),
+            "ricci_norm": float(max(abs(x) for x in d.ricci_plus + d.ricci_minus)),
+            "scalar": float(abs(d.scalar)),
+        }
+        for T, d in zip(traj.T, decs)
+    ]
     report = {
         "system": system,
         "samples": rows,
-        "flags": geometry.classify_geometry(
-            geometry.curvature_decomp(tuple(traj.Omega[-1]), system), tol=1e-8
-        ),
+        "flags": geometry.classify_geometry(decs[-1], tol=1e-8),
     }
     try:
-        ep = geometry.classify_endpoint(traj)
-        report["endpoint"] = json.loads(ep.to_json())
+        report["endpoint"] = vars(geometry.classify_endpoint(traj))
     except HalphenLabError as exc:
         report["endpoint"] = {"error": str(exc)}
     _emit(report, args.out)
@@ -344,12 +342,13 @@ def build_parser() -> _Parser:
                    help="cap internal parallelism (fallback: HALPHEN_LAB_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, tol=False):
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--tol", type=float, default=1e-10)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-10)
 
     sp = sub.add_parser("solve", help="integrate or sample a triple system")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("--system", choices=("dh", "lagrange"), default="dh")
     sp.add_argument("--init", default=None, help="Omega1,Omega2,Omega3")
     sp.add_argument("--halphen", action="store_true",
@@ -362,7 +361,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("curvature", help="curvature norms and endpoint class")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("--system", choices=("dh", "lagrange"), default="dh")
     sp.add_argument("--init", default=None)
     sp.add_argument("--halphen", action="store_true")
@@ -373,7 +372,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_curvature)
 
     sp = sub.add_parser("flow", help="Ricci-flow run with slice diagnostics")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("--init", required=True)
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t1", type=float, required=True)
@@ -411,7 +410,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_amplitude)
 
     sp = sub.add_parser("theta", help="Jacobi theta values")
-    common(sp)
+    common(sp, tol=True)
     sp.add_argument("--classical", type=int, choices=(1, 2, 3, 4), default=None)
     sp.add_argument("--a", default="0")
     sp.add_argument("--b", default="0")

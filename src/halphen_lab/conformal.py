@@ -25,8 +25,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numdiff
 from .errors import (
     DomainError,
@@ -35,7 +33,8 @@ from .errors import (
     StepTooLarge,
     ThetaZeroDivision,
 )
-from .halphen import dh_rhs, schwarz_lambda
+from .geometry import _curvature_blocks
+from .halphen import _CYC, _omega_ddot, dh_rhs, schwarz_lambda
 from .modforms import (
     DEFAULT_TRUNC,
     QTruncation,
@@ -65,8 +64,6 @@ __all__ = [
     "cp_f_heisenberg",
     "cp_f_eisenstein",
 ]
-
-_CYC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -255,40 +252,20 @@ def asd_curvature_identity(state: ConformalState) -> tuple:
         A_i = (1 / 2 Omega_i)(Delta_j Delta_k / (Omega_j Omega_k)
               - Delta_i / Omega_i) phi_i,
 
-    which is compared against the direct curvature decomposition with
-    Omega-derivatives supplied by system II.  Since both A_i
-    coefficients (on phi_i and chi_i) must agree with (coef, 0), the
-    returned residual per axis is the max of the two mismatches.
-
-    Note: the full decomposition needs second derivatives of Omega,
-    available here by differentiating system II along systems I and II.
+    which is compared against the anti-self-dual block of the metric
+    curvature (`geometry._curvature_blocks`), with Omega' from system II
+    and Omega'' from differentiating it along systems I and II.  Since
+    both A_i coefficients (on phi_i and chi_i) must agree with (coef, 0),
+    the returned residual per axis is the max of the two mismatches.
     """
     d, Om = state.delta, state.omega
-    ddot = system_one_rhs(d)
     Omdot = system_two_rhs(Om, d)
-    Omddot = tuple(
-        Omdot[j] * Om[k] + Om[j] * Omdot[k]
-        - Omdot[i] * (d[j] + d[k]) - Om[i] * (ddot[j] + ddot[k])
-        for i, j, k in _CYC
-    )
-    # v-connection and its derivative, as in the metric curvature split
-    Y = [Omdot[i] - Om[j] * Om[k] for i, j, k in _CYC]
-    Yd = [Omddot[i] - Omdot[j] * Om[k] - Om[j] * Omdot[k] for i, j, k in _CYC]
-    v = [
-        (Y[i] / Om[i] - Y[j] / Om[j] - Y[k] / Om[k]) / (4 * Om[i]) for i, j, k in _CYC
-    ]
-    dYO = [(Yd[i] * Om[i] - Y[i] * Omdot[i]) / Om[i] ** 2 for i in range(3)]
-    vdot = [
-        (dYO[i] - dYO[j] - dYO[k]) / (4 * Om[i]) - v[i] * Omdot[i] / Om[i]
-        for i, j, k in _CYC
-    ]
+    Omddot = _omega_ddot(Om, Omdot, d, system_one_rhs(d))
+    _, _, a_phi, a_chi = _curvature_blocks(Om, Omdot, Omddot)
     res = []
     for i, j, k in _CYC:
-        QA = 2 * v[j] * v[k] - v[i]
-        a_phi = vdot[i] / (2 * Om[j] * Om[k]) + QA / (2 * Om[i])
-        a_chi = vdot[i] / (2 * Om[j] * Om[k]) - QA / (2 * Om[i])
         target = (d[j] * d[k] / (Om[j] * Om[k]) - d[i] / Om[i]) / (2 * Om[i])
-        res.append(max(abs(a_phi - target), abs(a_chi)))
+        res.append(max(abs(a_phi[i] - target), abs(a_chi[i])))
     return tuple(res)
 
 

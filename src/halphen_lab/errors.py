@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all numerical modules."""
+"""Exception hierarchy and JSON layout shared by all modules."""
+
+
+def dump_json(payload) -> str:
+    """The package's JSON layout: sorted keys, indent 1.  Arrays (anything
+    with a ``tolist``) become nested lists, without importing numpy; json
+    itself loads on first use, so importing a module does not load it."""
+    import json
+
+    return json.dumps(payload, sort_keys=True, indent=1, default=lambda o: o.tolist())
 
 
 class HalphenLabError(Exception):
@@ -67,10 +76,6 @@ class LatticePointHit(HalphenLabError):
 
 class WeightTooLarge(HalphenLabError):
     """Graph weight or loop number beyond what the lattice sums support."""
-
-
-class DisconnectedGraph(HalphenLabError):
-    """Graph with no edges at all; no momenta to sum over."""
 
 
 class FitIllConditioned(HalphenLabError):

@@ -18,15 +18,14 @@ the Halphen attractor Omega ~ (1/T)(1, 1, 1) + const corrections.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, OutOfRange
+from .errors import DomainError, InsufficientData, OutOfRange, dump_json
 from .geometry import frame_coefficients, proper_time
-from .halphen import RealTriAxial, Trajectory, integrate
+from .halphen import RealTriAxial, Trajectory, _components, integrate
 
 __all__ = [
     "FlowRun",
@@ -77,24 +76,14 @@ class FlowRun:
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "T": [float(x) for x in self.traj.T],
-                "t": [float(x) for x in self.t],
-                "volume": [float(x) for x in self.volume],
-                "scalar": [float(x) for x in self.scalar],
-                "anisotropy": [float(x) for x in self.anisotropy],
-                "reason": self.traj.reason,
-                "meta": self.meta,
-            },
-            sort_keys=True,
-            indent=1,
-        )
+        # flat: the trajectory contributes only its times and stop reason
+        payload = {k: v for k, v in vars(self).items() if k != "traj"}
+        return dump_json({**payload, "T": self.traj.T, "reason": self.traj.reason})
 
 
 def isotropy_ratio(state) -> float:
     """Relative spread max|Omega_i - Omega_j| / max|Omega_i|."""
-    Om = state.Omega if isinstance(state, RealTriAxial) else tuple(state)
+    Om = _components(state)
     spread = max(abs(Om[i] - Om[j]) for i in range(3) for j in range(i + 1, 3))
     return spread / max(abs(w) for w in Om)
 

@@ -21,14 +21,15 @@ vanishes identically, which is the self-duality of both branches.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetric, DomainError, InsufficientData
-from .halphen import RealTriAxial, Trajectory, system_rhs, system_second_derivative
+from .errors import DegenerateMetric, DomainError, InsufficientData, dump_json
+from .halphen import (
+    _CYC, Trajectory, _components, system_rhs, system_second_derivative, taub_nut_family,
+)
 
 __all__ = [
     "ConnectionCoeffs",
@@ -44,8 +45,6 @@ __all__ = [
     "taub_nut_check",
     "taub_nut_endpoints",
 ]
-
-_CYC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -79,18 +78,7 @@ class CurvatureDecomp:
     scalar_cross: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scalar": self.scalar,
-                "weyl_plus": list(self.weyl_plus),
-                "weyl_minus": list(self.weyl_minus),
-                "ricci_plus": list(self.ricci_plus),
-                "ricci_minus": list(self.ricci_minus),
-                "scalar_cross": self.scalar_cross,
-            },
-            sort_keys=True,
-            indent=1,
-        )
+        return dump_json(vars(self))
 
 
 @dataclass(frozen=True)
@@ -106,24 +94,60 @@ class EndpointClass:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "T_end": self.T_end,
-                "proper_time_end": self.proper_time_end,
-                "exponents": list(self.exponents),
-                "bolt_degree": self.bolt_degree,
-                "bolt_radius": self.bolt_radius,
-                "detail": self.detail,
-            },
-            sort_keys=True,
-            indent=1,
-        )
+        return dump_json(vars(self))
 
 
 def _require_nondegenerate(Omega):
     if min(abs(w) for w in Omega) < 1e-300:
         raise DegenerateMetric(f"vanishing metric coefficient in {Omega}")
+
+
+def _dual_connection(s, Om, Omega_dot, Omega_ddot):
+    """The triple u (s = +1, from X) or v (s = -1, from Y) of the module
+    docstring and its T-derivative, which is NaN without Omega_ddot."""
+    Z = [Omega_dot[i] + s * Om[j] * Om[k] for i, j, k in _CYC]
+    z = tuple(
+        (Z[i] / Om[i] - Z[j] / Om[j] - Z[k] / Om[k]) / (4 * Om[i]) for i, j, k in _CYC
+    )
+    if Omega_ddot is None:
+        return z, (math.nan, math.nan, math.nan)
+    Zd = [Omega_ddot[i] + s * Omega_dot[j] * Om[k] + s * Om[j] * Omega_dot[k]
+          for i, j, k in _CYC]
+    dZO = [(Zd[i] * Om[i] - Z[i] * Omega_dot[i]) / Om[i] ** 2 for i in range(3)]
+    z_dot = tuple(
+        (dZO[i] - dZO[j] - dZO[k]) / (4 * Om[i]) - z[i] * Omega_dot[i] / Om[i]
+        for i, j, k in _CYC
+    )
+    return z, z_dot
+
+
+def _curvature_blocks(Om, Omega_dot, Omega_ddot):
+    """Coefficients (s_phi, s_chi, a_phi, a_chi) of the self-dual and
+    anti-self-dual curvature two-forms
+
+        S_i = u_i' dT ^ sigma_i - (u_i + 2 u_j u_k) sigma_j ^ sigma_k,
+        A_i = v_i' dT ^ sigma_i + (2 v_j v_k - v_i) sigma_j ^ sigma_k,
+
+    on the orthonormal (anti)self-dual basis, via
+
+        dT ^ sigma_i        = (phi_i + chi_i) / (2 Omega_j Omega_k),
+        sigma_j ^ sigma_k   = (phi_i - chi_i) / (2 Omega_i).
+
+    Real or complex triples; the derivatives are supplied by the caller.
+    """
+    blocks = []
+    for s in (1, -1):
+        z, z_dot = _dual_connection(s, Om, Omega_dot, Omega_ddot)
+        phi, chi = [], []
+        for i, j, k in _CYC:
+            dT = z_dot[i] / (2 * Om[j] * Om[k])
+            # -(u_i + 2 u_j u_k) for s = +1 and 2 v_j v_k - v_i for s = -1, rounded
+            # alike down to the sign of an exact zero
+            jk = -s * (s * z[i] + 2 * z[j] * z[k]) / (2 * Om[i])
+            phi.append(dT + jk)
+            chi.append(dT - jk)
+        blocks += [phi, chi]
+    return blocks
 
 
 def connection(state, system: str | None = None, Omega_dot=None) -> ConnectionCoeffs:
@@ -133,7 +157,7 @@ def connection(state, system: str | None = None, Omega_dot=None) -> ConnectionCo
     explicit Omega_dot triple must be supplied; second derivatives are
     only available on-flow.
     """
-    Om = state.Omega if isinstance(state, RealTriAxial) else tuple(state)
+    Om = _components(state)
     _require_nondegenerate(Om)
     if Omega_dot is None:
         if system is None:
@@ -142,64 +166,20 @@ def connection(state, system: str | None = None, Omega_dot=None) -> ConnectionCo
         Omega_ddot = system_second_derivative(system, Om, Omega_dot)
     else:
         Omega_ddot = None
-
-    X = [Omega_dot[i] + Om[j] * Om[k] for i, j, k in _CYC]
-    Y = [Omega_dot[i] - Om[j] * Om[k] for i, j, k in _CYC]
-    u = tuple(
-        (X[i] / Om[i] - X[j] / Om[j] - X[k] / Om[k]) / (4 * Om[i]) for i, j, k in _CYC
-    )
-    v = tuple(
-        (Y[i] / Om[i] - Y[j] / Om[j] - Y[k] / Om[k]) / (4 * Om[i]) for i, j, k in _CYC
-    )
-
-    if Omega_ddot is None:
-        u_dot = v_dot = (math.nan, math.nan, math.nan)
-    else:
-        Xd = [Omega_ddot[i] + Omega_dot[j] * Om[k] + Om[j] * Omega_dot[k]
-              for i, j, k in _CYC]
-        Yd = [Omega_ddot[i] - Omega_dot[j] * Om[k] - Om[j] * Omega_dot[k]
-              for i, j, k in _CYC]
-        dXO = [(Xd[i] * Om[i] - X[i] * Omega_dot[i]) / Om[i] ** 2 for i in range(3)]
-        dYO = [(Yd[i] * Om[i] - Y[i] * Omega_dot[i]) / Om[i] ** 2 for i in range(3)]
-        u_dot = tuple(
-            (dXO[i] - dXO[j] - dXO[k]) / (4 * Om[i]) - u[i] * Omega_dot[i] / Om[i]
-            for i, j, k in _CYC
-        )
-        v_dot = tuple(
-            (dYO[i] - dYO[j] - dYO[k]) / (4 * Om[i]) - v[i] * Omega_dot[i] / Om[i]
-            for i, j, k in _CYC
-        )
+    u, u_dot = _dual_connection(1, Om, Omega_dot, Omega_ddot)
+    v, v_dot = _dual_connection(-1, Om, Omega_dot, Omega_ddot)
     return ConnectionCoeffs(u=u, v=v, u_dot=u_dot, v_dot=v_dot)
 
 
 def curvature_decomp(state, system: str) -> CurvatureDecomp:
-    """Full curvature decomposition at a point of an on-flow solution.
-
-    The self-dual curvature two-forms are
-
-        S_i = u_i' dT ^ sigma_i - (u_i + 2 u_j u_k) sigma_j ^ sigma_k,
-
-    the anti-self-dual ones
-
-        A_i = v_i' dT ^ sigma_i + (2 v_j v_k - v_i) sigma_j ^ sigma_k,
-
-    expanded on the orthonormal (anti)self-dual basis via
-
-        dT ^ sigma_i        = (phi_i + chi_i) / (2 Omega_j Omega_k),
-        sigma_j ^ sigma_k   = (phi_i - chi_i) / (2 Omega_i).
-    """
-    Om = state.Omega if isinstance(state, RealTriAxial) else tuple(state)
-    cc = connection(state, system=system)
-    u, v, ud, vd = cc.u, cc.v, cc.u_dot, cc.v_dot
-
-    Q = [-(u[i] + 2 * u[j] * u[k]) for i, j, k in _CYC]
-    QA = [2 * v[j] * v[k] - v[i] for i, j, k in _CYC]
-
-    s_phi = [ud[i] / (2 * Om[j] * Om[k]) + Q[i] / (2 * Om[i]) for i, j, k in _CYC]
-    s_chi = [ud[i] / (2 * Om[j] * Om[k]) - Q[i] / (2 * Om[i]) for i, j, k in _CYC]
-    a_phi = [vd[i] / (2 * Om[j] * Om[k]) + QA[i] / (2 * Om[i]) for i, j, k in _CYC]
-    a_chi = [vd[i] / (2 * Om[j] * Om[k]) - QA[i] / (2 * Om[i]) for i, j, k in _CYC]
-
+    """Full curvature decomposition at a point of an on-flow solution,
+    from the blocks of `_curvature_blocks`."""
+    Om = _components(state)
+    _require_nondegenerate(Om)
+    Omega_dot = system_rhs(system)(Om)
+    s_phi, s_chi, a_phi, a_chi = _curvature_blocks(
+        Om, Omega_dot, system_second_derivative(system, Om, Omega_dot)
+    )
     s = 4 * sum(s_phi)
     s_cross = 4 * sum(a_chi)
     return CurvatureDecomp(
@@ -273,7 +253,7 @@ def frame_coefficients(state):
     component describe the same geometry up to an overall sign of the
     metric.
     """
-    Omega = state.Omega if isinstance(state, RealTriAxial) else tuple(state)
+    Omega = _components(state)
     _require_nondegenerate(Omega)
     return tuple(
         math.sqrt(abs(Omega[j] * Omega[k] / Omega[i])) for i, j, k in _CYC
@@ -416,8 +396,6 @@ def taub_nut_check(m: float, r: float, T0: float = 0.0) -> CurvatureDecomp:
     and the radial coordinate maps to flow time through
     m*(r - m) = 2/(T - T0).  The result must classify as self-dual.
     """
-    from .halphen import taub_nut_family
-
     if m <= 0:
         raise DomainError(f"mass must be positive, got {m}")
     if r <= m:
@@ -435,8 +413,6 @@ def taub_nut_endpoints(T0: float, T_star: float, n_samples: int = 200) -> dict:
     'taubian infinity' as T -> T0+; for T_star > T0 the inner end is a
     curvature singularity at T -> T_star+ instead.
     """
-    from .halphen import taub_nut_family
-
     if T_star == T0:
         raise DomainError("degenerate family: T0 == T_star")
     inner = max(T0, T_star)

@@ -21,7 +21,6 @@ import cmath
 import csv
 import io
 import itertools
-import json
 import math
 import operator
 import sys
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numdiff
-from .errors import DomainError, OutOfRange, PoleHit, StepTooLarge, StepUnderflow
+from .errors import DomainError, OutOfRange, PoleHit, StepTooLarge, StepUnderflow, dump_json
 from .modforms import (
     DEFAULT_TRUNC,
     Moebius,
@@ -122,6 +121,9 @@ class ChazyData:
     y_double_prime: complex
 
 
+_CYC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # (i, j, k) in cyclic order
+
+
 def dh_rhs(state):
     """Darboux-Halphen right-hand side (cyclic)."""
     w1, w2, w3 = _components(state)
@@ -149,20 +151,23 @@ def system_rhs(system: str):
 
 
 def system_second_derivative(system: str, omega, omega_dot=None):
-    """Second derivatives along a solution, by differentiating the RHS."""
+    """Second derivatives along a solution, by differentiating the RHS:
+    Delta = Omega for Darboux-Halphen, Delta = 0 for Lagrange."""
     rhs = system_rhs(system)
-    w1, w2, w3 = _components(omega)
-    if omega_dot is None:
-        d1, d2, d3 = rhs((w1, w2, w3))
-    else:
-        d1, d2, d3 = _components(omega_dot)
+    w = _components(omega)
+    w_dot = rhs(w) if omega_dot is None else _components(omega_dot)
     if system.lower() == "dh":
-        return (
-            d2 * w3 + w2 * d3 - d1 * (w2 + w3) - w1 * (d2 + d3),
-            d3 * w1 + w3 * d1 - d2 * (w3 + w1) - w2 * (d3 + d1),
-            d1 * w2 + w1 * d2 - d3 * (w1 + w2) - w3 * (d1 + d2),
-        )
-    return (d2 * w3 + w2 * d3, d3 * w1 + w3 * d1, d1 * w2 + w1 * d2)
+        return _omega_ddot(w, w_dot, w, w_dot)
+    return _omega_ddot(w, w_dot, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+def _omega_ddot(w, d, D, Dd):
+    """Omega'' from Omega = w, Omega' = d, Delta = D and Delta' = Dd along
+    Omega_i' = Omega_j Omega_k - Omega_i (Delta_j + Delta_k), by the product rule."""
+    return tuple([
+        d[j] * w[k] + w[j] * d[k] - d[i] * (D[j] + D[k]) - w[i] * (Dd[j] + Dd[k])
+        for i, j, k in _CYC
+    ])
 
 
 def _components(state):
@@ -403,17 +408,7 @@ class Trajectory:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        payload = {
-            "system": self.system,
-            "tol": self.tol,
-            "reason": self.reason,
-            "root_component": self.root_component,
-            "meta": self.meta,
-            "T": [float(t) for t in self.T],
-            "Omega": [[float(v) for v in row] for row in self.Omega],
-            "Omega_dot": [[float(v) for v in row] for row in self.Omega_dot],
-        }
-        return json.dumps(payload, sort_keys=True, indent=1)
+        return dump_json(vars(self))
 
     @classmethod
     def from_samples(cls, system, T, Omega, tol=0.0, reason="completed", meta=None):

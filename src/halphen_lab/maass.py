@@ -41,14 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeSumSpec:
-    """Shell truncation policy for sums over Z + tau*Z.
+    """Truncation policy for sums over Z + tau*Z.
 
-    R is the largest |m + n tau| included; the dropped tail is estimated
-    by the integral of the summand profile r^(-tail_order) beyond R.
+    R is the largest |m + n tau| of the Eisenstein lattice sum and the
+    half-width of the square momentum grid of the D_n and graph sums; each
+    sum estimates its own dropped tail.
     """
 
     R: float = 120.0
-    tail_order: float | None = None
 
     def __post_init__(self):
         if self.R < 2:
@@ -112,7 +112,8 @@ def eisenstein_lattice(
     tau = _as_tau(tau)
     y = tau.imag
     p = lattice_points(tau, spec.R)
-    terms = y**s / np.abs(p) ** (2 * s)
+    # (y/|p|^2)^s underflows to 0 far out where |p|^(2s) alone would overflow
+    terms = (y / (p.real**2 + p.imag**2)) ** s
     value = float(math.fsum(terms))
     tail = 2 * math.pi * y ** (s - 1) * spec.R ** (2 - 2 * s) / (2 * s - 2)
     return MaassValue(value=value + tail, est_error=tail * 30.0 / spec.R**2)
@@ -141,6 +142,9 @@ def riemann_zeta(s: float, terms: int = 64) -> float:
     if s == 1:
         raise PoleAtS("zeta has a pole at s = 1")
     if s < 0:
+        if s % 2 == 0:
+            # the trivial zeros, where sin(pi s/2) rounds to about 1e-16 |s|
+            return 0.0
         # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
         try:
             gamma = math.gamma(1 - s)

@@ -1,5 +1,7 @@
 """End-to-end tests of the batch command-line interface (in-process)."""
 
+import argparse
+import inspect
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import pytest
 from scipy.special import zeta
 
 import halphen_lab
-from halphen_lab.cli import main, parse_complex, parse_triple
+from halphen_lab.cli import build_parser, main, parse_complex, parse_triple
 
 
 def run(capsys, *argv):
@@ -226,6 +228,25 @@ class TestOutputs:
     def test_nonpositive_threads_is_usage_error(self, capsys, threads):
         code = main(["--threads", threads, "theta", "--z", "1i"])
         assert code == 1
+
+
+_SUBPARSERS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+@pytest.mark.parametrize("name", sorted(_SUBPARSERS))
+def test_every_flag_is_read(name):
+    # no flag may silently do nothing: each option of a subcommand is read
+    # as args.<dest> by its handler
+    sp = _SUBPARSERS[name]
+    source = inspect.getsource(sp.get_default("func"))
+    unread = [
+        a.option_strings[0]
+        for a in sp._actions
+        if a.dest != "help" and f"args.{a.dest}" not in source
+    ]
+    assert unread == []
 
 
 def _run_isolated(code, **env):

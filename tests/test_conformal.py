@@ -202,6 +202,16 @@ class TestAsdIdentity:
         st = ConformalState(delta=om, omega=om, z=1.3j)
         assert max(asd_curvature_identity(st)) < 1e-10
 
+    @pytest.mark.parametrize("delta", [(0, 0, 0), (0.7, 0, 0), (0, 0, -1.3)])
+    def test_constant_delta(self, delta):
+        # a constant Delta with two zero components solves system I; Delta = 0
+        # turns II into Lagrange, whose anti-self-dual curvature vanishes
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            om = tuple(rng.uniform(0.3, 3.0, 3) + 1j * rng.uniform(-1.0, 1.0, 3))
+            st = ConformalState(delta=delta, omega=om)
+            assert max(asd_curvature_identity(st)) < 1e-12 * max(abs(w) for w in om) ** 2
+
     def test_distinct_delta_omega(self):
         # Delta from the closed form, Omega from an SL(2) transport of it:
         # still a joint solution, with Delta != Omega

@@ -5,6 +5,7 @@ against an independent finite-difference computation in an explicit
 Euler-angle coordinate chart.
 """
 
+import json
 import math
 
 import numpy as np
@@ -131,6 +132,15 @@ class TestFlowRun:
         run = flow_run(RealTriAxial((1.0, 2.0, 3.0), 1.0), 10.0)
         assert np.all(np.diff(run.t) > 0)
         assert np.all(np.diff(flow_time(run.traj)) > 0)
+
+    def test_json_is_flat(self):
+        # the trajectory contributes only its times and stop reason
+        run = flow_run(RealTriAxial((1.0, 2.0, 3.0), 1.0), 3.0)
+        payload = json.loads(run.to_json())
+        assert sorted(payload) == ["T", "anisotropy", "meta", "reason", "scalar", "t", "volume"]
+        assert payload["T"] == run.traj.T.tolist()
+        assert payload["volume"] == run.volume.tolist()
+        assert payload["reason"] == run.traj.reason
 
     def test_volume_shrinks(self):
         run = flow_run(RealTriAxial((0.5, 0.5, 0.5), 1.0), 5.0)

@@ -1,6 +1,7 @@
 """Tests for the Lagrange / Darboux-Halphen systems and their solutions."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from halphen_lab.halphen import (
     sl2_generate,
     sl2_generate_real,
     system_rhs,
+    system_second_derivative,
     taub_nut_family,
 )
 from halphen_lab.modforms import Moebius, eisenstein_holo
@@ -106,6 +108,34 @@ class TestIntegrate:
         assert lines[0].split(",")[0] == "T"
         assert len(lines) == len(traj.T) + 1
         assert "dh" in traj.to_json()
+
+    def test_json_layout(self):
+        # sorted keys, one-space indent, arrays as nested lists of floats
+        traj = integrate("dh", RealTriAxial((1.0, 2.0, 3.0), 1.0), 2.0)
+        text = traj.to_json()
+        payload = json.loads(text)
+        assert list(payload) == sorted(payload)
+        assert text.startswith('{\n "Omega": [\n  [\n   ')
+        assert payload["Omega"] == traj.Omega.tolist()
+        assert payload["Omega_dot"] == traj.Omega_dot.tolist()
+        assert payload["T"] == traj.T.tolist()
+        assert payload["meta"] == traj.meta
+
+
+class TestSecondDerivative:
+    @pytest.mark.parametrize("system", ["dh", "lagrange"])
+    def test_matches_difference_of_rhs(self, system):
+        # Omega'' = d/dT rhs(Omega(T)) = (rhs(Om + h Om') - rhs(Om - h Om')) / 2h + O(h^2)
+        rhs = system_rhs(system)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            Om = tuple(rng.uniform(-2.0, 2.0, 3))
+            d = rhs(Om)
+            h = 1e-5
+            up = rhs(tuple(w + h * v for w, v in zip(Om, d)))
+            down = rhs(tuple(w - h * v for w, v in zip(Om, d)))
+            fd = [(a - b) / (2 * h) for a, b in zip(up, down)]
+            assert system_second_derivative(system, Om) == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
 def _scipy_integrate(system, init, T_end, tol=1e-9, stop_on_root=True, stop_on_blowup=True):

@@ -1,6 +1,7 @@
 """Tests for the non-holomorphic Eisenstein series evaluators."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -88,6 +89,15 @@ class TestScalarHelpers:
         with pytest.raises(DomainError, match="s = -180.5"):
             riemann_zeta(-180.5)
 
+    @pytest.mark.parametrize("s", [-2.0, -170.0, -169.0])
+    def test_riemann_zeta_matches_mpmath_at_negative_integers(self, s):
+        # the trivial zeros are exact: sin(pi s/2) would leave 1e-16 |s| Gamma(1 - s)
+        ref = float(mp.zeta(s))
+        if s % 2 == 0:
+            assert riemann_zeta(s) == ref == 0.0
+        else:
+            assert riemann_zeta(s) == pytest.approx(ref, rel=1e-12)
+
     @pytest.mark.parametrize("s", [400.0, -400.0])
     def test_completed_zeta_overflow_is_domain_error(self, s):
         with pytest.raises(DomainError, match=f"s = {s}"):
@@ -136,6 +146,14 @@ class TestLattice:
         a = eisenstein_lattice(2.0, tau, LatticeSumSpec(R=80))
         b = eisenstein_lattice(2.0, tau + 1, LatticeSumSpec(R=80))
         assert abs(a.value - b.value) < 1e-12 * abs(a.value) + a.est_error + b.est_error
+
+    def test_large_s_does_not_overflow(self):
+        # y^s / |p|^(2s) overflowed |p|^200 past |p| = 34 and warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eisenstein_lattice(100.0, 0.1 + 1.2j, LatticeSumSpec(R=120))
+        # p = +-1 give 2 y^s; every other point has |p| >= |tau| and adds < 1e-15 of it
+        assert got.value == pytest.approx(2 * 1.2**100, rel=1e-9)
 
     def test_divergent_s(self):
         with pytest.raises(DivergentParameter):
