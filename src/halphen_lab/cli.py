@@ -9,7 +9,6 @@ written `a+bi` (e.g. `0+1i`, `1.3i`, `0.3+0.2i`).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -144,7 +143,7 @@ def _cmd_curvature(args):
         traj = integrate(args.system, init, args.t1, tol=args.tol)
         system = args.system
 
-    decs = [geometry.curvature_decomp(tuple(row), system) for row in traj.Omega]
+    decs = [geometry.curvature_decomp(row, system) for row in traj.Omega.tolist()]
     rows = [
         {
             "T": float(T),
@@ -174,7 +173,7 @@ def _cmd_flow(args):
 
     init = RealTriAxial(parse_triple(args.init), args.t0)
     run = flow_run(init, args.t1, tol=args.tol)
-    payload = json.loads(run.to_json())
+    payload = run.to_dict()
     payload["volume_rate_residual"] = volume_rate_check(run)
     _emit(payload, args.out)
     return 0

@@ -316,6 +316,8 @@ def cp_harmonic_check(field: CPField, rho: float, eta: float, h: float) -> float
         rho^2 (F_rho_rho + F_eta_eta) = (3/4) F
 
     by 5-point central differences in each variable."""
+    if not h > 0:
+        raise DomainError(f"step h must be positive, got h = {h}")
     if rho <= 2 * h:
         raise StepTooLarge(f"need rho > 2h, got rho = {rho}, h = {h}")
     F0 = field(rho, eta)

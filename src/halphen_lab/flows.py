@@ -75,10 +75,14 @@ class FlowRun:
     anisotropy: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        # flat: the trajectory contributes only its times and stop reason
+    def to_dict(self) -> dict:
+        """The flat JSON layout: the trajectory contributes only its times
+        and stop reason."""
         payload = {k: v for k, v in vars(self).items() if k != "traj"}
-        return dump_json({**payload, "T": self.traj.T, "reason": self.traj.reason})
+        return {**payload, "T": self.traj.T, "reason": self.traj.reason}
+
+    def to_json(self) -> str:
+        return dump_json(self.to_dict())
 
 
 def isotropy_ratio(state) -> float:
@@ -99,9 +103,10 @@ def flow_run(
     |Omega_i| through A_i, so the flow continues across a sign change.
     """
     traj = integrate("dh", init, T_end, tol=tol, stop_on_root=False)
-    vol = np.array([slice_volume(tuple(row)) for row in traj.Omega])
-    sc = np.array([slice_scalar_curvature(tuple(row)) for row in traj.Omega])
-    anis = np.array([isotropy_ratio(tuple(row)) for row in traj.Omega])
+    rows = traj.Omega.tolist()
+    vol = np.array([slice_volume(row) for row in rows])
+    sc = np.array([slice_scalar_curvature(row) for row in rows])
+    anis = np.array([isotropy_ratio(row) for row in rows])
     return FlowRun(
         traj=traj,
         t=flow_time(traj),

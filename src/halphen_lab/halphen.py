@@ -124,9 +124,9 @@ class ChazyData:
 _CYC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # (i, j, k) in cyclic order
 
 
-def dh_rhs(state):
-    """Darboux-Halphen right-hand side (cyclic)."""
-    w1, w2, w3 = _components(state)
+def _dh(w):
+    """Darboux-Halphen right-hand side of a plain triple (cyclic)."""
+    w1, w2, w3 = w
     return (
         w2 * w3 - w1 * (w2 + w3),
         w3 * w1 - w2 * (w3 + w1),
@@ -134,40 +134,68 @@ def dh_rhs(state):
     )
 
 
-def lagrange_rhs(state):
-    """Lagrange right-hand side (cyclic)."""
-    w1, w2, w3 = _components(state)
+def _lagrange(w):
+    """Lagrange right-hand side of a plain triple (cyclic)."""
+    w1, w2, w3 = w
     return (w2 * w3, w3 * w1, w1 * w2)
 
 
-_SYSTEMS = {"dh": dh_rhs, "lagrange": lagrange_rhs}
+def dh_rhs(state):
+    """Darboux-Halphen right-hand side (cyclic) of a state or triple."""
+    return _dh(_components(state))
 
 
-def system_rhs(system: str):
+def lagrange_rhs(state):
+    """Lagrange right-hand side (cyclic) of a state or triple."""
+    return _lagrange(_components(state))
+
+
+# name -> (right-hand side of a state or triple, the same of a plain triple)
+_SYSTEMS = {"dh": (dh_rhs, _dh), "lagrange": (lagrange_rhs, _lagrange)}
+_ZERO = (0.0, 0.0, 0.0)
+
+
+def _system(system: str):
     try:
         return _SYSTEMS[system.lower()]
     except KeyError:
         raise DomainError(f"unknown system {system!r}; use 'dh' or 'lagrange'")
 
 
+def system_rhs(system: str):
+    return _system(system)[0]
+
+
 def system_second_derivative(system: str, omega, omega_dot=None):
     """Second derivatives along a solution, by differentiating the RHS:
     Delta = Omega for Darboux-Halphen, Delta = 0 for Lagrange."""
-    rhs = system_rhs(system)
     w = _components(omega)
-    w_dot = rhs(w) if omega_dot is None else _components(omega_dot)
-    if system.lower() == "dh":
-        return _omega_ddot(w, w_dot, w, w_dot)
-    return _omega_ddot(w, w_dot, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    return _flow_derivatives(system, w, None if omega_dot is None else _components(omega_dot))[1]
+
+
+def _flow_derivatives(system: str, w, d=None):
+    """(Omega', Omega'') along `system` at the plain triple Omega = w, with
+    Omega' = d when given, else from the RHS."""
+    rhs = _system(system)[1]
+    if d is None:
+        d = rhs(w)
+    if rhs is _dh:
+        return d, _omega_ddot(w, d, w, d)
+    return d, _omega_ddot(w, d, _ZERO, _ZERO)
 
 
 def _omega_ddot(w, d, D, Dd):
     """Omega'' from Omega = w, Omega' = d, Delta = D and Delta' = Dd along
     Omega_i' = Omega_j Omega_k - Omega_i (Delta_j + Delta_k), by the product rule."""
-    return tuple([
-        d[j] * w[k] + w[j] * d[k] - d[i] * (D[j] + D[k]) - w[i] * (Dd[j] + Dd[k])
-        for i, j, k in _CYC
-    ])
+    w1, w2, w3 = w
+    d1, d2, d3 = d
+    D1, D2, D3 = D
+    E1, E2, E3 = Dd
+    return (
+        d2 * w3 + w2 * d3 - d1 * (D2 + D3) - w1 * (E2 + E3),
+        d3 * w1 + w3 * d1 - d2 * (D3 + D1) - w2 * (E3 + E1),
+        d1 * w2 + w1 * d2 - d3 * (D1 + D2) - w3 * (E1 + E2),
+    )
 
 
 def _components(state):
@@ -416,8 +444,8 @@ class Trajectory:
         system RHS."""
         T = np.asarray(T, dtype=float)
         Omega = np.asarray(Omega, dtype=float)
-        rhs = system_rhs(system)
-        Omega_dot = np.array([rhs(tuple(row)) for row in Omega], dtype=float)
+        rhs = _system(system)[1]
+        Omega_dot = np.array([rhs(row) for row in Omega.tolist()], dtype=float)
         return cls(system=system, T=T, Omega=Omega, Omega_dot=Omega_dot,
                    tol=tol, reason=reason, meta=meta or {})
 
@@ -445,7 +473,7 @@ def integrate(
         raise DomainError(
             f"root at start: initial Omega{i + 1} = 0, so the run would stop at T = {init.T}"
         )
-    rhs = system_rhs(system)
+    rhs = _system(system)[1]
     events = [operator.itemgetter(i) for i in range(3)] if stop_on_root else []
     if stop_on_blowup:
         limit = 1.0 / tol
@@ -485,7 +513,7 @@ def integrate_ray(
     """
     if s_end == 0:
         raise DomainError("s_end must differ from 0")
-    rhs = system_rhs(system)
+    rhs = _system(system)[1]
     direction = cmath.exp(1j * theta_angle)
 
     def f(y):

@@ -22,10 +22,7 @@ def deriv1(f, z, h, direction=1.0):
 
 def deriv2(f, z, h, direction=1.0):
     """f''(z), O(h^4)."""
-    fm2, fm1, f0, fp1, fp2 = _samples(f, z, h, direction, (-2, -1, 0, 1, 2))
-    return (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (
-        12 * h * h * direction * direction
-    )
+    return second_5pt(_samples(f, z, h, direction, (-2, -1, 0, 1, 2)), h * direction)
 
 
 def deriv3(f, z, h, direction=1.0):

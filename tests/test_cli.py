@@ -119,6 +119,17 @@ class TestFlow:
         assert payload["volume_rate_residual"] < 1e-3
         assert all(v > 0 for v in payload["volume"])
 
+    def test_output_is_run_json_plus_residual(self, capsys):
+        from halphen_lab.errors import dump_json
+        from halphen_lab.flows import flow_run, volume_rate_check
+        from halphen_lab.halphen import RealTriAxial
+
+        code, out = run(capsys, "flow", "--init", "0.5,-1,2", "--t0", "1", "--t1", "4")
+        assert code == 0
+        fr = flow_run(RealTriAxial((0.5, -1.0, 2.0), 1.0), 4.0)
+        expected = {**json.loads(fr.to_json()), "volume_rate_residual": volume_rate_check(fr)}
+        assert out == dump_json(expected) + "\n"
+
 
 class TestEisenstein:
     def test_both_methods_agree(self, capsys):
@@ -202,6 +213,12 @@ class TestConformal:
         assert code == 0
         payload = json.loads(out)
         assert payload["residual"] < 1e-6
+
+    @pytest.mark.parametrize("h", ["--h=0", "--h=-1e-3"])
+    def test_nonpositive_step_is_numeric_failure(self, capsys, h):
+        code = main(["conformal", "--cp", "cp2", h])
+        assert code == 2
+        assert "DomainError: step h must be positive" in capsys.readouterr().err
 
     def test_w_first_integral(self, capsys):
         code, out = run(capsys, "conformal", "--z", "1.1i")

@@ -246,6 +246,11 @@ class TestCpPotentials:
         with pytest.raises(StepTooLarge):
             cp_harmonic_check(cp_f_cp2(), 1e-4, 0.0, 1e-3)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+    def test_step_must_be_positive(self, h):
+        with pytest.raises(DomainError, match="positive"):
+            cp_harmonic_check(cp_f_cp2(), 1.0, 0.2, h)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             cp_f_cp2()(-1.0, 0.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from halphen_lab.geometry import (
     taub_nut_endpoints,
     CurvatureDecomp,
 )
+from halphen_lab.conformal import ConformalState, asd_curvature_identity
 from halphen_lab.halphen import (
     RealTriAxial,
+    TriAxial,
     Trajectory,
     halphen_closed_form_real,
     integrate,
@@ -221,3 +224,178 @@ class TestTaubNutCheck:
             taub_nut_check(1.0, 0.5)
         with pytest.raises(DomainError):
             taub_nut_check(-1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the cyclic, comprehension-based curvature core that the
+# straight-line one in `geometry` replaced, with its own Omega' and Omega''
+
+_CYC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _ref_components(state):
+    if isinstance(state, TriAxial):
+        return state.omega
+    if isinstance(state, RealTriAxial):
+        return state.Omega
+    return tuple(state)
+
+
+def _ref_rhs(system, Om):
+    if system == "dh":
+        return tuple(Om[j] * Om[k] - Om[i] * (Om[j] + Om[k]) for i, j, k in _CYC)
+    return tuple(Om[j] * Om[k] for i, j, k in _CYC)
+
+
+def _ref_omega_ddot(w, d, D, Dd):
+    return tuple([
+        d[j] * w[k] + w[j] * d[k] - d[i] * (D[j] + D[k]) - w[i] * (Dd[j] + Dd[k])
+        for i, j, k in _CYC
+    ])
+
+
+def _ref_derivatives(system, Om):
+    Od = _ref_rhs(system, Om)
+    D, Dd = (Om, Od) if system == "dh" else ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    return Od, _ref_omega_ddot(Om, Od, D, Dd)
+
+
+def _ref_dual_connection(s, Om, Omega_dot, Omega_ddot):
+    Z = [Omega_dot[i] + s * Om[j] * Om[k] for i, j, k in _CYC]
+    z = tuple(
+        (Z[i] / Om[i] - Z[j] / Om[j] - Z[k] / Om[k]) / (4 * Om[i]) for i, j, k in _CYC
+    )
+    if Omega_ddot is None:
+        return z, (math.nan, math.nan, math.nan)
+    Zd = [Omega_ddot[i] + s * Omega_dot[j] * Om[k] + s * Om[j] * Omega_dot[k]
+          for i, j, k in _CYC]
+    dZO = [(Zd[i] * Om[i] - Z[i] * Omega_dot[i]) / Om[i] ** 2 for i in range(3)]
+    z_dot = tuple(
+        (dZO[i] - dZO[j] - dZO[k]) / (4 * Om[i]) - z[i] * Omega_dot[i] / Om[i]
+        for i, j, k in _CYC
+    )
+    return z, z_dot
+
+
+def _ref_curvature_blocks(Om, Omega_dot, Omega_ddot):
+    blocks = []
+    for s in (1, -1):
+        z, z_dot = _ref_dual_connection(s, Om, Omega_dot, Omega_ddot)
+        phi, chi = [], []
+        for i, j, k in _CYC:
+            dT = z_dot[i] / (2 * Om[j] * Om[k])
+            jk = -s * (s * z[i] + 2 * z[j] * z[k]) / (2 * Om[i])
+            phi.append(dT + jk)
+            chi.append(dT - jk)
+        blocks += [phi, chi]
+    return blocks
+
+
+def _ref_curvature_decomp(state, system):
+    Om = _ref_components(state)
+    s_phi, s_chi, a_phi, a_chi = _ref_curvature_blocks(Om, *_ref_derivatives(system, Om))
+    s = 4 * sum(s_phi)
+    return (
+        s,
+        tuple(2 * x - s / 6 for x in s_phi),
+        tuple(2 * x - s / 6 for x in a_chi),
+        tuple(2 * x for x in s_chi),
+        tuple(2 * x for x in a_phi),
+        4 * sum(a_chi),
+    )
+
+
+def _ref_connection(state, system=None, Omega_dot=None):
+    Om = _ref_components(state)
+    Omega_ddot = None
+    if Omega_dot is None:
+        Omega_dot, Omega_ddot = _ref_derivatives(system, Om)
+    return (_ref_dual_connection(1, Om, Omega_dot, Omega_ddot)
+            + _ref_dual_connection(-1, Om, Omega_dot, Omega_ddot))
+
+
+def _ref_asd_identity(delta, Om):
+    d = delta
+    Omdot = tuple(Om[j] * Om[k] - Om[i] * (d[j] + d[k]) for i, j, k in _CYC)
+    Omddot = _ref_omega_ddot(Om, Omdot, d, _ref_rhs("dh", d))
+    _, _, a_phi, a_chi = _ref_curvature_blocks(Om, Omdot, Omddot)
+    res = []
+    for i, j, k in _CYC:
+        target = (d[j] * d[k] / (Om[j] * Om[k]) - d[i] / Om[i]) / (2 * Om[i])
+        res.append(max(abs(a_phi[i] - target), abs(a_chi[i])))
+    return tuple(res)
+
+
+def _text(x):
+    """repr of nested tuples of numbers, numpy scalars as the plain number
+    of the same value (the reference keeps numpy float64 from numpy rows)."""
+    if isinstance(x, (tuple, list)):
+        return "(" + ", ".join(_text(v) for v in x) + ")"
+    return repr(complex(x)) if isinstance(x, complex) else repr(float(x))
+
+
+def _states(kind, rng):
+    """Seeded states of one kind, 60 of them."""
+    out = []
+    for _ in range(60):
+        if kind == "mixed signs":
+            out.append(tuple(rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-3, 3)
+                             for _ in range(3)))
+        elif kind == "integer valued":
+            ints = tuple(rng.choice((-3, -2, -1, 1, 2, 3, 4)) for _ in range(3))
+            out.append(ints if rng.random() < 0.5 else tuple(float(w) for w in ints))
+        elif kind == "numpy rows":
+            out.append(tuple(np.array([rng.uniform(-3.0, 3.0) for _ in range(3)])))
+        elif kind == "complex":
+            out.append(TriAxial(tuple(
+                complex(rng.uniform(-2, 2), rng.choice((0.0, -0.0, rng.uniform(-2, 2))))
+                for _ in range(3))))
+        else:
+            out.append(taub_nut_family(rng.uniform(0.1, 30.0), 0.0, rng.choice((-1.0, 1.0))))
+    return out
+
+
+_KINDS = ["mixed signs", "integer valued", "numpy rows", "complex", "taub-nut"]
+
+
+class TestCoreMatchesReference:
+    """The straight-line core rounds every value, signs of exact zeros
+    included, as the cyclic formulas it replaced."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("system", ["dh", "lagrange"])
+    def test_curvature_decomp(self, kind, system):
+        for state in _states(kind, random.Random(kind)):
+            d = curvature_decomp(state, system)
+            got = (d.scalar, d.weyl_plus, d.weyl_minus, d.ricci_plus, d.ricci_minus,
+                   d.scalar_cross)
+            assert _text(got) == _text(_ref_curvature_decomp(state, system))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("system", ["dh", "lagrange", None])
+    def test_connection(self, kind, system):
+        Omega_dot = None if system else (1.5, -0.25, 2.0)
+        for state in _states(kind, random.Random(kind)):
+            c = connection(state, system, Omega_dot)
+            got = ((c.u, c.u_dot), (c.v, c.v_dot))
+            ref = _ref_connection(state, system, Omega_dot)
+            assert _text(got) == _text(((ref[0], ref[1]), (ref[2], ref[3])))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_asd_curvature_identity(self, kind):
+        rng = random.Random(kind)
+        for state in _states(kind, rng):
+            Om = _ref_components(state)
+            delta = tuple(rng.choice((0, 1, -2, w)) for w in Om)
+            st = ConformalState(delta, Om)
+            assert _text(asd_curvature_identity(st)) == _text(
+                _ref_asd_identity(st.delta, st.omega))
+
+    def test_real_input_gives_plain_floats(self):
+        row = tuple(np.array([0.8, 1.3, 2.1]))
+        d = curvature_decomp(row, "dh")
+        values = (d.scalar, d.scalar_cross, *d.weyl_plus, *d.weyl_minus,
+                  *d.ricci_plus, *d.ricci_minus)
+        assert all(type(x) is float for x in values)
+        assert all(type(x) is float for x in connection(row, "lagrange").v_dot)
+        assert all(type(x) is complex for x in curvature_decomp(TriAxial(row), "dh").weyl_plus)

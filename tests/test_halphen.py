@@ -205,6 +205,29 @@ class TestIntegratorParity:
         ref = np.array([dh_rhs(tuple(row)) for row in traj.Omega])
         assert np.array_equal(traj.Omega_dot, ref)
 
+    @pytest.mark.parametrize("system, public", [("dh", dh_rhs), ("lagrange", lagrange_rhs)])
+    def test_stepper_rhs_is_public_rhs(self, monkeypatch, system, public):
+        # the right-hand side integrate hands the stepper, on the list states
+        # the stepper passes it, against the public one on a RealTriAxial
+        from halphen_lab import halphen
+
+        seen = []
+        dopri5 = halphen._dopri5
+
+        def spy(rhs, *args, **kwargs):
+            seen.append(rhs)
+            return dopri5(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(halphen, "_dopri5", spy)
+        integrate(system, RealTriAxial((0.3, 0.2, 0.1), 0.0), 0.5)
+        (rhs,) = seen
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            w = [float(x) for x in rng.choice((-1.0, 1.0), 3) * 10 ** rng.uniform(-3, 3, 3)]
+            assert repr(rhs(w)) == repr(public(RealTriAxial(tuple(w))))
+        for w in ([1.0, 0.0, -0.0], [-2.0, -0.0, 3.0], [0.0, 0.0, 0.0]):
+            assert repr(rhs(w)) == repr(public(RealTriAxial(tuple(w))))
+
     def test_step_underflow_without_blowup_stop(self):
         # Omega = 1/(2 - T) has a pole at T = 2 that nothing stops at
         with pytest.raises(StepUnderflow, match="spacing between numbers"):

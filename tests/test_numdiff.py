@@ -1,5 +1,6 @@
 """Tests for the finite-difference stencils."""
 
+import cmath
 import math
 
 import numpy as np
@@ -32,6 +33,12 @@ class TestDerivatives:
         z0 = 0.1 + 0.8j
         d = deriv1(f, z0, 1e-4, direction=1j)
         assert abs(d - np.exp(z0)) < 1e-10
+
+    def test_complex_direction_second(self):
+        f = lambda z: np.exp(2 * z)
+        z0 = 0.3 + 0.4j
+        d = deriv2(f, z0, 1e-3, direction=cmath.exp(0.7j))
+        assert abs(d - 4 * np.exp(2 * z0)) < 1e-7
 
     def test_complex_direction_third(self):
         f = lambda z: np.exp(2 * z)
