@@ -208,8 +208,7 @@ def w_lambda_system_residual(
     """Residuals of the lambda-form of system II for a callable
     z -> WVars, using d w/d lambda = (d w/d z) / lambda'(z)."""
     z = complex(z)
-    if h > z.imag / 10:
-        raise StepTooLarge(f"h = {h} too large for Im(z) = {z.imag}")
+    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
     lam = schwarz_lambda(z, trunc)
     lam_prime = numdiff.deriv1(lambda t: schwarz_lambda(t, trunc), z, h)
     if abs(lam_prime) < 1e-14:
@@ -316,8 +315,7 @@ def cp_harmonic_check(field: CPField, rho: float, eta: float, h: float) -> float
         rho^2 (F_rho_rho + F_eta_eta) = (3/4) F
 
     by 5-point central differences in each variable."""
-    if not h > 0:
-        raise DomainError(f"step h must be positive, got h = {h}")
+    numdiff.check_step(h)
     if rho <= 2 * h:
         raise StepTooLarge(f"need rho > 2h, got rho = {rho}, h = {h}")
     F0 = field(rho, eta)

@@ -18,8 +18,6 @@ sides, so a single RHS serves both.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import itertools
 import math
 import operator
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numdiff
-from .errors import DomainError, OutOfRange, PoleHit, StepTooLarge, StepUnderflow, dump_json
+from .errors import DomainError, OutOfRange, PoleHit, StepUnderflow, dump_json
 from .modforms import (
     DEFAULT_TRUNC,
     Moebius,
@@ -237,40 +235,51 @@ _P = (
 )
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EPS = sys.float_info.epsilon
+_SQRT3 = 3 ** 0.5
 
 
-def _rms(v) -> float:
-    return math.sqrt(sum([x * x for x in v])) / len(v) ** 0.5
+def _rms(a, b, c) -> float:
+    """RMS norm of a real or complex triple, sqrt(|a|^2 + |b|^2 + |c|^2) / sqrt(3)."""
+    a, b, c = abs(a), abs(b), abs(c)
+    return math.sqrt(a * a + b * b + c * c) / _SQRT3
 
 
 def _dopri5(rhs, t0, y0, t_end, rtol, atol, events=()):
     """Integrate the autonomous system y' = rhs(y) from t0 towards t_end.
 
-    `y0` is a sequence of floats and `rhs` maps a sequence of floats to one.
-    Each event is a function g(y); a sign change of g over an accepted step
-    (g <= 0 <= g_new or the reverse) ends the run at the root of g on the
-    dense output, found by bisection to 4 EPS, the earliest root in the
-    direction of integration winning.
+    The state is a triple: `y0` holds three real or complex numbers (a
+    complex entry stays complex, any other becomes a float), and `rhs` maps
+    a triple to a triple.  The error of a step is the RMS over the three
+    components of |error_i| / (atol + max(|y_i|, |y_new_i|) rtol).  Each
+    event is a function g(y) of a real triple; a sign change of g over an
+    accepted step (g <= 0 <= g_new or the reverse) ends the run at the root
+    of g on the dense output, found by bisection to 4 EPS, the earliest
+    root in the direction of integration winning.
 
     Returns (ts, ys, fs, nfev, hit): the accepted sample times, states and
     derivatives, the number of rhs calls made by the stepper, and the index
-    of the event that ended the run (None if it reached t_end).
+    of the event that ended the run (None if it reached t_end).  Raises
+    StepUnderflow when the step falls below ten float spacings of t.
     """
     t, t_end = float(t0), float(t_end)
     direction = 1.0 if t_end > t else -1.0
-    y = [float(v) for v in y0]
+    y1, y2, y3 = (complex(v) if isinstance(v, complex) else float(v) for v in y0)
+    y = (y1, y2, y3)
     f = rhs(y)
     ts, ys, fs = [t], [y], [f]
+    # stage s of a step is (ks1, ks2, ks3); k1 is the last step's k7 (FSAL)
+    k11, k12, k13 = f
 
     # initial step (Hairer-Norsett-Wanner II.4)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = _rms([v / s for v, s in zip(y, scale)])
-    d1 = _rms([v / s for v, s in zip(f, scale)])
+    s1, s2, s3 = atol + abs(y1) * rtol, atol + abs(y2) * rtol, atol + abs(y3) * rtol
+    d0 = _rms(y1 / s1, y2 / s2, y3 / s3)
+    d1 = _rms(k11 / s1, k12 / s2, k13 / s3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, abs(t_end - t))
-    f1 = rhs([v + h0 * direction * d for v, d in zip(y, f)])
+    h = h0 * direction
+    u1, u2, u3 = rhs((y1 + h * k11, y2 + h * k12, y3 + h * k13))
     nfev = 2
-    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    d2 = _rms((u1 - k11) / s1, (u2 - k12) / s2, (u3 - k13) / s3) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -290,32 +299,46 @@ def _dopri5(rhs, t0, y0, t_end, rtol, atol, events=()):
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            k1 = f
-            k2 = rhs([a + h * (_A21 * p) for a, p in zip(y, k1)])
-            k3 = rhs([a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
-            k4 = rhs([
-                a + h * (_A41 * p + _A42 * q + _A43 * r)
-                for a, p, q, r in zip(y, k1, k2, k3)
-            ])
-            k5 = rhs([
-                a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * u)
-                for a, p, q, r, u in zip(y, k1, k2, k3, k4)
-            ])
-            k6 = rhs([
-                a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * u + _A65 * v)
-                for a, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)
-            ])
-            y_new = [
-                a + h * (_B1 * p + _B3 * r + _B4 * u + _B5 * v + _B6 * w)
-                for a, p, r, u, v, w in zip(y, k1, k3, k4, k5, k6)
-            ]
+            k21, k22, k23 = rhs((
+                y1 + h * (_A21 * k11),
+                y2 + h * (_A21 * k12),
+                y3 + h * (_A21 * k13),
+            ))
+            k31, k32, k33 = rhs((
+                y1 + h * (_A31 * k11 + _A32 * k21),
+                y2 + h * (_A31 * k12 + _A32 * k22),
+                y3 + h * (_A31 * k13 + _A32 * k23),
+            ))
+            k41, k42, k43 = rhs((
+                y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+                y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
+                y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33),
+            ))
+            k51, k52, k53 = rhs((
+                y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+                y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+                y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43),
+            ))
+            k61, k62, k63 = rhs((
+                y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
+                y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52),
+                y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53),
+            ))
+            n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+            n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+            n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
+            y_new = (n1, n2, n3)
             k7 = rhs(y_new)
+            k71, k72, k73 = k7
             nfev += 6
-            err = _rms([
-                h * (_E1 * p + _E3 * r + _E4 * u + _E5 * v + _E6 * w + _E7 * x)
-                / (atol + max(abs(a), abs(b)) * rtol)
-                for a, b, p, r, u, v, w, x in zip(y, y_new, k1, k3, k4, k5, k6, k7)
-            ])
+            err = _rms(
+                h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
+                / (atol + max(abs(y1), abs(n1)) * rtol),
+                h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
+                / (atol + max(abs(y2), abs(n2)) * rtol),
+                h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63 + _E7 * k73)
+                / (atol + max(abs(y3), abs(n3)) * rtol),
+            )
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
@@ -330,7 +353,11 @@ def _dopri5(rhs, t0, y0, t_end, rtol, atol, events=()):
                 if a <= 0 <= b or a >= 0 >= b
             ]
             if active:
-                dense = _dense_output(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
+                ks = (
+                    (k11, k12, k13), (k21, k22, k23), (k31, k32, k33), (k41, k42, k43),
+                    (k51, k52, k53), (k61, k62, k63), k7,
+                )
+                dense = _dense_output(t, h, y, ks)
                 # earliest root in the direction of integration, then lowest index
                 key, hit = min(
                     (direction * _locate_root(events[i], dense, t, t_new, g[i]), i)
@@ -342,10 +369,12 @@ def _dopri5(rhs, t0, y0, t_end, rtol, atol, events=()):
                 fs.append(rhs(y_hit))
                 return ts, ys, fs, nfev, hit
             g = g_new
-        t, y, f = t_new, y_new, k7
+        t, y = t_new, y_new
+        y1, y2, y3 = y_new
+        k11, k12, k13 = k7
         ts.append(t)
-        ys.append(y)
-        fs.append(f)
+        ys.append(y_new)
+        fs.append(k7)
         if direction * (t - t_end) >= 0:
             return ts, ys, fs, nfev, None
 
@@ -423,17 +452,11 @@ class Trajectory:
         return RealTriAxial(tuple(vals), T)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(["T", "Omega1", "Omega2", "Omega3",
-                         "Omega1_dot", "Omega2_dot", "Omega3_dot"])
-        for i in range(len(self.T)):
-            writer.writerow(
-                [repr(float(self.T[i]))]
-                + [repr(float(v)) for v in self.Omega[i]]
-                + [repr(float(v)) for v in self.Omega_dot[i]]
-            )
-        return buf.getvalue()
+        # a float's repr never needs CSV quoting
+        rows = np.column_stack((self.T, self.Omega, self.Omega_dot)).tolist()
+        return "T,Omega1,Omega2,Omega3,Omega1_dot,Omega2_dot,Omega3_dot\n" + "".join(
+            [",".join(map(repr, row)) + "\n" for row in rows]
+        )
 
     def to_json(self) -> str:
         return dump_json(vars(self))
@@ -516,17 +539,12 @@ def integrate_ray(
     rhs = _system(system)[1]
     direction = cmath.exp(1j * theta_angle)
 
-    def f(y):
-        w = (y[0] + 1j * y[1], y[2] + 1j * y[3], y[4] + 1j * y[5])
-        d = [direction * dw for dw in rhs(w)]
-        return [d[0].real, d[0].imag, d[1].real, d[1].imag, d[2].real, d[2].imag]
+    def f(w):
+        d1, d2, d3 = rhs(w)
+        return (direction * d1, direction * d2, direction * d3)
 
-    y0 = []
-    for w in init.omega:
-        y0 += [w.real, w.imag]
-    s, y, _, _, _ = _dopri5(f, 0.0, y0, s_end, tol, tol)
-    y = np.array(y)
-    return np.array(s), y[:, 0::2] + 1j * y[:, 1::2]
+    s, omega, _, _, _ = _dopri5(f, 0.0, init.omega, s_end, tol, tol)
+    return np.array(s), np.array(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +652,7 @@ def dh_residual(sol, z, h=None) -> float:
     z = complex(z)
     if h is None:
         h = 1e-4 * max(abs(z.imag), 0.1)
+    numdiff.check_step(h)
     w = _components(sol(z))
     rhs = dh_rhs(w)
     res = 0.0
@@ -662,8 +681,7 @@ def schwarz_residual(lambda_fn, z, h) -> float:
       + (1/2)(1/l^2 + 1/(l-1)^2 - 1/(l(l-1))) lambda'^2
     """
     z = complex(z)
-    if h > z.imag / 10:
-        raise StepTooLarge(f"h = {h} too large for Im(z) = {z.imag}")
+    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
     lam = lambda_fn(z)
     d1 = numdiff.deriv1(lambda_fn, z, h)
     d2 = numdiff.deriv2(lambda_fn, z, h)
@@ -676,6 +694,7 @@ def schwarz_residual(lambda_fn, z, h) -> float:
 
 def dh_from_lambda(lambda_fn, z, h) -> ModularTriplet:
     """Triplet (lambda'/lambda, lambda'/(lambda-1), lambda'/(lambda(lambda-1)))."""
+    numdiff.check_step(h)
     lam = lambda_fn(z)
     d1 = numdiff.deriv1(lambda_fn, z, h)
     return ModularTriplet(d1 / lam, d1 / (lam - 1), d1 / (lam * (lam - 1)), tol=1e-6)
@@ -695,8 +714,7 @@ def chazy_from_dh(state) -> ChazyData:
 def chazy_residual(y_fn, z, h) -> float:
     """|y''' - 2 y y'' + 3 (y')^2| by central differences."""
     z = complex(z)
-    if h > z.imag / 10:
-        raise StepTooLarge(f"h = {h} too large for Im(z) = {z.imag}")
+    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
     y = y_fn(z)
     d1 = numdiff.deriv1(y_fn, z, h)
     d2 = numdiff.deriv2(y_fn, z, h)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentParameter, DomainError, OutOfRange, PoleAtS, StepTooLarge
+from .errors import DivergentParameter, DomainError, OutOfRange, PoleAtS
 from .modforms import ModularPoint
-from .numdiff import second_5pt
+from .numdiff import check_step, second_5pt
 
 __all__ = [
     "LatticeSumSpec",
@@ -267,8 +267,7 @@ def laplacian_eigencheck(s: float, tau, h: float, n_max: int = 40) -> float:
     on Fourier-path values."""
     tau = _as_tau(tau)
     x, y = tau.real, tau.imag
-    if h > y / 10:
-        raise StepTooLarge(f"h = {h} > Im(tau)/10 = {y / 10}")
+    check_step(h, y / 10, "Im(tau)/10")
 
     def E(xx, yy):
         return eisenstein_fourier(s, complex(xx, yy), n_max=n_max).value

@@ -7,7 +7,21 @@ along an arbitrary ray in the complex plane.
 
 from __future__ import annotations
 
-__all__ = ["deriv1", "deriv2", "deriv3", "second_5pt"]
+import math
+
+from .errors import DomainError, StepTooLarge
+
+__all__ = ["check_step", "deriv1", "deriv2", "deriv3", "second_5pt"]
+
+
+def check_step(h, limit=math.inf, bound="limit"):
+    """Validate a finite-difference step: DomainError unless h > 0 (so also
+    for NaN), StepTooLarge if h exceeds `limit`, which the message calls
+    `bound`."""
+    if not h > 0:
+        raise DomainError(f"step h must be positive, got h = {h}")
+    if h > limit:
+        raise StepTooLarge(f"h = {h} too large: {bound} = {limit}")
 
 
 def _samples(f, z, h, direction, offsets):

@@ -285,6 +285,20 @@ def test_cli_import_skips_numpy():
     assert out.strip() == "False"
 
 
+def test_cli_import_skips_json():
+    out = _run_isolated("import sys, halphen_lab.cli; print('json' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_dump_json_loads_no_numpy():
+    out = _run_isolated(
+        "import sys; from halphen_lab.errors import dump_json;"
+        "dump_json({'a': [1.0, float('nan')], 'b': {'c': [[1, 2]], 'd': 'e'}});"
+        "print('numpy' in sys.modules, 'json' in sys.modules)"
+    )
+    assert out.strip() == "False True"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

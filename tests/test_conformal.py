@@ -159,6 +159,11 @@ class TestWLambda:
                 lambda z: w_theta_solution(0.3, 0.7, z), 1.1j, 0.5
             )
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+    def test_step_must_be_positive(self, h):
+        with pytest.raises(DomainError, match="step h must be positive"):
+            w_lambda_system_residual(lambda z: w_theta_solution(0.3, 0.7, z), 1.1j, h)
+
 
 class TestSl2Pair:
     @pytest.mark.parametrize(

@@ -3,11 +3,14 @@
 import cmath
 import json
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
 
-from halphen_lab.errors import DomainError, StepUnderflow
+from halphen_lab import halphen as H
+from halphen_lab.errors import DomainError, StepTooLarge, StepUnderflow
 from halphen_lab.halphen import (
     ChazyData,
     ModularTriplet,
@@ -234,6 +237,198 @@ class TestIntegratorParity:
             integrate("lagrange", RealTriAxial((1, 1, 1), 1), 10, stop_on_blowup=False)
 
 
+    @pytest.mark.parametrize(
+        "z0, theta, s_end, tol",
+        [
+            (0.5j, math.pi / 2, 1.0, 1e-11),
+            (0.1 + 0.9j, math.pi / 3, 0.8, 1e-10),
+            (1.2j, math.pi / 2, -0.4, 1e-9),
+        ],
+    )
+    def test_ray_matches_scipy_rk45(self, z0, theta, s_end, tol):
+        from scipy.integrate import solve_ivp
+
+        init = halphen_closed_form(z0)
+        s, omega = integrate_ray("dh", init, s_end, theta_angle=theta, tol=tol)
+        d = cmath.exp(1j * theta)
+        ref = solve_ivp(lambda t, y: d * np.array(dh_rhs(tuple(y))), (0.0, s_end),
+                        np.array(init.omega), method="RK45", rtol=tol, atol=tol)
+        assert len(s) == len(ref.t)
+        assert s[-1] == ref.t[-1]
+        end = ref.y[:, -1]
+        assert np.max(np.abs(omega[-1] - end)) <= 1e-12 * np.max(np.abs(end))
+
+
+def _rms_reference(v):
+    return math.sqrt(sum([x * x for x in v])) / len(v) ** 0.5
+
+
+def _dopri5_reference(rhs, t0, y0, t_end, rtol, atol, events=()):
+    """The Dormand-Prince stepper for real states of any length, written as
+    comprehensions over the components: the reference that the unrolled
+    three-component `_dopri5` must match bit for bit."""
+    from halphen_lab.halphen import (
+        _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+        _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+        _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
+        _dense_output, _locate_root,
+    )
+
+    t, t_end = float(t0), float(t_end)
+    direction = 1.0 if t_end > t else -1.0
+    y = [float(v) for v in y0]
+    f = rhs(y)
+    ts, ys, fs = [t], [y], [f]
+
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms_reference([v / s for v, s in zip(y, scale)])
+    d1 = _rms_reference([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_end - t))
+    f1 = rhs([v + h0 * direction * d for v, d in zip(y, f)])
+    nfev = 2
+    d2 = _rms_reference([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, abs(t_end - t))
+
+    g = [ev(y) for ev in events]
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow("Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            k1 = f
+            k2 = rhs([a + h * (_A21 * p) for a, p in zip(y, k1)])
+            k3 = rhs([a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
+            k4 = rhs([
+                a + h * (_A41 * p + _A42 * q + _A43 * r)
+                for a, p, q, r in zip(y, k1, k2, k3)
+            ])
+            k5 = rhs([
+                a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * u)
+                for a, p, q, r, u in zip(y, k1, k2, k3, k4)
+            ])
+            k6 = rhs([
+                a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * u + _A65 * v)
+                for a, p, q, r, u, v in zip(y, k1, k2, k3, k4, k5)
+            ])
+            y_new = [
+                a + h * (_B1 * p + _B3 * r + _B4 * u + _B5 * v + _B6 * w)
+                for a, p, r, u, v, w in zip(y, k1, k3, k4, k5, k6)
+            ]
+            k7 = rhs(y_new)
+            nfev += 6
+            err = _rms_reference([
+                h * (_E1 * p + _E3 * r + _E4 * u + _E5 * v + _E6 * w + _E7 * x)
+                / (atol + max(abs(a), abs(b)) * rtol)
+                for a, b, p, r, u, v, w, x in zip(y, y_new, k1, k3, k4, k5, k6, k7)
+            ])
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            rejected = True
+
+        if events:
+            g_new = [ev(y_new) for ev in events]
+            active = [
+                i for i, (a, b) in enumerate(zip(g, g_new))
+                if a <= 0 <= b or a >= 0 >= b
+            ]
+            if active:
+                dense = _dense_output(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
+                key, hit = min(
+                    (direction * _locate_root(events[i], dense, t, t_new, g[i]), i)
+                    for i in active
+                )
+                y_hit = dense(direction * key)
+                ts.append(direction * key)
+                ys.append(y_hit)
+                fs.append(rhs(y_hit))
+                return ts, ys, fs, nfev, hit
+            g = g_new
+        t, y, f = t_new, y_new, k7
+        ts.append(t)
+        ys.append(y)
+        fs.append(f)
+        if direction * (t - t_end) >= 0:
+            return ts, ys, fs, nfev, None
+
+
+def _stepper_run(dopri5, rhs, t0, y0, t_end, tol, events):
+    """A run's (ts, ys, fs, nfev, hit), with states and derivatives as tuples."""
+    ts, ys, fs, nfev, hit = dopri5(rhs, t0, y0, t_end, tol, tol, events)
+    return ts, [tuple(y) for y in ys], [tuple(f) for f in fs], nfev, hit
+
+
+def _stepper_events(roots, tol):
+    events = [operator.itemgetter(i) for i in range(3)] if roots else []
+    limit = 1.0 / tol
+    events.append(lambda y: max(abs(y[0]), abs(y[1]), abs(y[2])) - limit)
+    return events
+
+
+class TestStepperBitIdentity:
+    """The unrolled stepper against the comprehension-based reference:
+    every sample, derivative, RHS count and stopping event is the same
+    float for float."""
+
+    def test_seeded_runs(self):
+        # mixed signs, forward and backward, three tolerances
+        rng = random.Random(8)
+        hits = set()
+        for run in range(96):
+            system = ("dh", "lagrange")[run % 2]
+            rhs = system_rhs(system)
+            y0 = [rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 3.0) for _ in range(3)]
+            t0 = rng.uniform(-2.0, 2.0)
+            t_end = t0 + rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 15.0)
+            tol = rng.choice((1e-6, 1e-9, 1e-10))
+            events = _stepper_events(run % 3 != 2, tol)
+            new = _stepper_run(H._dopri5, rhs, t0, y0, t_end, tol, events)
+            ref = _stepper_run(_dopri5_reference, rhs, t0, y0, t_end, tol, events)
+            assert repr(new) == repr(ref)
+            hits.add(new[-1])
+        # runs ended on each root event, on blowup and at t_end
+        assert hits == {0, 1, 2, 3, None}
+
+    @pytest.mark.parametrize("system", ["dh", "lagrange"])
+    @pytest.mark.parametrize(
+        "y0, t0, t_end",
+        [
+            ((1, 2, 3), 1, 4),  # integer-valued data
+            ((-1, 2, 3), 0, -3),
+            ((1.0, -0.0, 2.0), 1.0, 3.0),  # -0.0 stops at once on its root event
+            ((0.5, 0.25, -1.5), 0.0, -6.0),
+            ((0.0, 0.0, 0.0), 0.0, 1.0),  # a rest point: zero derivative
+        ],
+    )
+    @pytest.mark.parametrize("roots", [True, False])
+    def test_edge_data(self, system, y0, t0, t_end, roots):
+        rhs = system_rhs(system)
+        events = _stepper_events(roots, 1e-9)
+        new = _stepper_run(H._dopri5, rhs, t0, y0, t_end, 1e-9, events)
+        ref = _stepper_run(_dopri5_reference, rhs, t0, y0, t_end, 1e-9, events)
+        assert repr(new) == repr(ref)
+
+    def test_step_underflow(self):
+        # Omega = 1/(2 - T) has a pole at T = 2 that nothing stops at
+        for dopri5 in (H._dopri5, _dopri5_reference):
+            with pytest.raises(StepUnderflow, match="spacing between numbers"):
+                dopri5(system_rhs("lagrange"), 1, (1, 1, 1), 10, 1e-9, 1e-9)
+
+
 class TestClosedForm:
     def test_dh_residual_random_points(self):
         rng = np.random.default_rng(23)
@@ -346,6 +541,29 @@ class TestSchwarz:
 
     def test_lambda_decays(self):
         assert abs(schwarz_lambda(6j)) < 1e-6
+
+    def test_residual_step_too_large(self):
+        with pytest.raises(StepTooLarge):
+            schwarz_residual(schwarz_lambda, 1j, 0.5)
+
+
+_Y_FN = lambda z: 1j * math.pi * eisenstein_holo(2, z)  # noqa: E731
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [
+        lambda h: dh_residual(halphen_closed_form, 1j, h=h),
+        lambda h: chazy_residual(_Y_FN, 1j, h),
+        lambda h: schwarz_residual(schwarz_lambda, 1j, h),
+        lambda h: dh_from_lambda(schwarz_lambda, 1j, h),
+    ],
+    ids=["dh_residual", "chazy_residual", "schwarz_residual", "dh_from_lambda"],
+)
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+def test_difference_step_must_be_positive(residual, h):
+    with pytest.raises(DomainError, match="step h must be positive"):
+        residual(h)
 
 
 class TestChazy:

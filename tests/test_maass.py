@@ -229,3 +229,8 @@ class TestEigencheck:
     def test_step_too_large(self):
         with pytest.raises(StepTooLarge):
             laplacian_eigencheck(2.0, 1j, 0.5)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+    def test_step_must_be_positive(self, h):
+        with pytest.raises(DomainError, match="step h must be positive"):
+            laplacian_eigencheck(2.0, 1j, h)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from halphen_lab.numdiff import deriv1, deriv2, deriv3, second_5pt
+from halphen_lab.errors import DomainError, StepTooLarge
+from halphen_lab.numdiff import check_step, deriv1, deriv2, deriv3, second_5pt
 
 
 class TestDerivatives:
@@ -53,3 +54,16 @@ class TestSecondFromSamples:
         x = 0.5 + h * np.arange(-2, 3)
         vals = np.cos(x)
         assert second_5pt(vals, h) == pytest.approx(-math.cos(0.5), abs=1e-9)
+
+
+class TestCheckStep:
+    @pytest.mark.parametrize("h", [0.0, -0.0, -1e-3, math.nan, -math.inf])
+    def test_nonpositive_or_nan_is_domain_error(self, h):
+        with pytest.raises(DomainError, match="step h must be positive"):
+            check_step(h, 1.0)
+
+    def test_limit(self):
+        check_step(1e-3)
+        check_step(0.1, 0.1, "Im(z)/10")  # the limit itself is allowed
+        with pytest.raises(StepTooLarge, match=r"h = 0.2 too large: Im\(z\)/10 = 0.1"):
+            check_step(0.2, 0.1, "Im(z)/10")
