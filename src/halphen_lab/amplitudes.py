@@ -19,6 +19,7 @@ for z = u + v tau).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,6 +127,12 @@ def sigma_recursion_check(k: Mandelstam, n: int) -> float:
     return abs(sigma_n(k, n) - n * total)
 
 
+@functools.cache
+def _zeta_coef(n: int) -> float:
+    """2 zeta(2n+1) / (2n+1), the exponent coefficient of sigma_{2n+1}."""
+    return 2 * riemann_zeta(2 * n + 1) / (2 * n + 1)
+
+
 def tree_amplitude_series(k: Mandelstam, N: int, tol: float = 1e-12) -> float:
     """Exponential form of the tree amplitude,
 
@@ -145,7 +152,7 @@ def tree_amplitude_series(k: Mandelstam, N: int, tol: float = 1e-12) -> float:
     expo = 0.0
     last = 0.0
     for n in range(1, N + 1):
-        last = 2 * riemann_zeta(2 * n + 1) / (2 * n + 1) * sigma_n(k, 2 * n + 1)
+        last = _zeta_coef(n) * sigma_n(k, 2 * n + 1)
         expo -= last
     if N > 0 and abs(last) > tol:
         raise NotConverged(
@@ -213,7 +220,8 @@ def _next_5_smooth(n: int) -> int:
 
 
 def _convolve(A, B):
-    """Linear 2-D convolution of A and B by real FFT.
+    """Linear 2-D convolution of A and B by real FFT, for graph_D's
+    two-loop sums.
 
     Each axis is zero-padded to the next 5-smooth length (2^a 3^b 5^c) at
     or above the output length: the exact length 4R+1 can be prime
@@ -271,11 +279,22 @@ def kronecker_eisenstein_Dn(
     spec: LatticeSumSpec = LatticeSumSpec(),
 ) -> MaassValue:
     """D_n = sum over p_1 + ... + p_n = 0 (all p_i != 0) of
-    prod tau_2 / (4 pi |p_i|^2).
+    prod tau_2 / (4 pi |p_i|^2), every p_i in the (2R+1)^2 box.
 
-    Evaluated by FFT self-convolution of the single-propagator weight
-    grid; n in {2, 3, 4} are supported (higher n has no reduction to
-    check and explodes in cost).
+    D_2 is sum W^2 over the weight grid.  D_3 and D_4 use Parseval on one
+    forward transform: with W_hat(k) = sum_p W(p) e^(-2 pi i p.k / L) over
+    an L x L torus,
+
+        D_n = sum_k W_hat(k)^n / L^2,
+
+    exact as long as no sum p_1 + ... + p_n of box momenta wraps to 0 mod
+    L, i.e. L > nR.  L is the next 5-smooth length (2^a 3^b 5^c) at or
+    above nR + 1, where numpy's FFT is fast.  W(-p) = W(p) makes W_hat
+    real and even, so it comes from an rfft along n of the rows m >= 0
+    (rephased to centre p = 0) and a Hermitian FFT along m, whose rows
+    m < 0 are the conjugates of rows m > 0; the sum over the half axis
+    of the rfft counts each interior column twice.  n in {2, 3, 4} are
+    supported (higher n has no reduction to check and explodes in cost).
     """
     if n < 2:
         raise DivergentParameter("D_n needs n >= 2")
@@ -287,15 +306,14 @@ def kronecker_eisenstein_Dn(
     if n == 2:
         value = float(np.sum(W * W))
     else:
-        g2 = _convolve(W, W)  # indexed by p1 + p2 on a (4R+1)^2 grid
-        if n == 3:
-            # embed W at the center of the convolution grid: p3 = -(p1+p2)
-            Wpad = np.zeros_like(g2)
-            Wpad[R : 3 * R + 1, R : 3 * R + 1] = W[::-1, ::-1]
-            value = float(np.sum(g2 * Wpad))
-        else:
-            # p1+p2 = -(p3+p4); g2 is even under p -> -p
-            value = float(np.sum(g2 * g2[::-1, ::-1]))
+        L = _next_5_smooth(n * R + 1)
+        centre = np.exp(2j * math.pi * R / L * np.arange(L // 2 + 1))
+        W_hat = np.fft.hfft(np.fft.rfft(W[R:], L, axis=1) * centre, L, axis=0)
+        P = W_hat * W_hat
+        cols = (P * W_hat if n == 3 else P * P).sum(axis=0)
+        # columns 0 and, for even L, L/2 are their own mirror images
+        mid = (L + 1) // 2
+        value = float(cols[0] + 2 * cols[1:mid].sum() + cols[mid:].sum()) / (L * L)
     return MaassValue(value=value, est_error=_dn_tail(n, t, R))
 
 

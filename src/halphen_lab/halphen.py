@@ -648,11 +648,12 @@ def sl2_generate_real(sol, A: float, B: float, C: float, D: float):
 
 def dh_residual(sol, z, h=None) -> float:
     """Max-norm residual of the Darboux-Halphen equations for a callable
-    z -> TriAxial, derivatives by 4th-order central differences."""
+    z -> TriAxial, derivatives by 4th-order central differences with a
+    step h <= Im(z)/10 (by default 1e-4 max(Im z, 0.1), within that cap)."""
     z = complex(z)
     if h is None:
-        h = 1e-4 * max(abs(z.imag), 0.1)
-    numdiff.check_step(h)
+        h = min(1e-4 * max(abs(z.imag), 0.1), abs(z.imag) / 10)
+    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
     w = _components(sol(z))
     rhs = dh_rhs(w)
     res = 0.0
@@ -694,7 +695,8 @@ def schwarz_residual(lambda_fn, z, h) -> float:
 
 def dh_from_lambda(lambda_fn, z, h) -> ModularTriplet:
     """Triplet (lambda'/lambda, lambda'/(lambda-1), lambda'/(lambda(lambda-1)))."""
-    numdiff.check_step(h)
+    z = complex(z)
+    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
     lam = lambda_fn(z)
     d1 = numdiff.deriv1(lambda_fn, z, h)
     return ModularTriplet(d1 / lam, d1 / (lam - 1), d1 / (lam * (lam - 1)), tol=1e-6)

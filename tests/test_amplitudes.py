@@ -32,7 +32,7 @@ from halphen_lab.errors import (
     PoleHit,
     WeightTooLarge,
 )
-from halphen_lab.maass import LatticeSumSpec, eisenstein_fourier
+from halphen_lab.maass import LatticeSumSpec, eisenstein_fourier, riemann_zeta
 from halphen_lab.modforms import ModularPoint
 
 
@@ -89,6 +89,20 @@ class TestTreeAmplitude:
     def test_bad_alpha_prime(self):
         with pytest.raises(DomainError):
             Mandelstam(0.1, 0.1, alpha_prime=-1.0)
+
+    def test_series_matches_uncached_loop(self):
+        # the exponent with every odd zeta recomputed on each call
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            s, t = rng.uniform(-0.25, 0.25, 2)
+            ap = rng.choice([0.5, 1.0, 2.0])
+            k = Mandelstam(s / ap, t / ap, alpha_prime=ap)
+            N = int(rng.integers(20, 25))
+            expo = 0.0
+            for n in range(1, N + 1):
+                expo -= 2 * riemann_zeta(2 * n + 1) / (2 * n + 1) * sigma_n(k, 2 * n + 1)
+            xs = k.xs
+            assert tree_amplitude_series(k, N) == math.exp(expo) / (xs[0] * xs[1] * xs[2])
 
 
 class TestSigma:
@@ -200,11 +214,43 @@ class TestDn:
         b = kronecker_eisenstein_Dn(2, ModularPoint(-1 / t))
         assert abs(a.value - b.value) < 3 * (a.est_error + b.est_error)
 
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 1.3 + 0.7j, 2j])
+    @pytest.mark.parametrize("R", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_enumeration(self, n, R, tau):
+        got = kronecker_eisenstein_Dn(n, ModularPoint(tau), LatticeSumSpec(R=R))
+        assert got.value == pytest.approx(_enumerated_dn(n, tau, R), rel=1e-12)
+
     def test_divergent_and_capped(self):
         with pytest.raises(DivergentParameter):
             kronecker_eisenstein_Dn(1, ModularPoint(1j))
         with pytest.raises(WeightTooLarge):
             kronecker_eisenstein_Dn(5, ModularPoint(1j))
+
+
+def _enumerated_dn(n, tau, R):
+    """Reference: D_3 or D_4 by direct enumeration, p_1 .. p_(n-1) over the
+    (2R+1)^2 box and p_n = -(p_1 + ... + p_(n-1)) kept when it lies in the
+    box too."""
+    k = np.arange(-R, R + 1)
+    M, N = np.meshgrid(k, k, indexing="ij")
+    p2 = np.abs(M + N * tau) ** 2
+    W = np.zeros(p2.shape)
+    W[p2 > 0] = tau.imag / (4 * math.pi * p2[p2 > 0])
+
+    def weight(m, n):
+        inside = (np.abs(m) <= R) & (np.abs(n) <= R)
+        return np.where(inside, W[np.clip(m, -R, R) + R, np.clip(n, -R, R) + R], 0.0)
+
+    m, n_, w = M.ravel(), N.ravel(), W.ravel()
+    pair = w[:, None] * w[None, :]
+    m12, n12 = m[:, None] + m[None, :], n_[:, None] + n_[None, :]
+    if n == 3:
+        return math.fsum((pair * weight(-m12, -n12)).ravel().tolist())
+    return math.fsum(
+        w3 * math.fsum((pair * weight(-m12 - m3, -n12 - n3)).ravel().tolist())
+        for m3, n3, w3 in zip(m, n_, w)
+    )
 
 
 def _enumerated_graph_sum(mult, tau, R):
@@ -282,7 +328,7 @@ class TestGraphD:
     def test_banana_matches_dn(self):
         tau = ModularPoint(1.1j)
         spec = LatticeSumSpec(R=40)
-        for n in (2, 3):
+        for n in (2, 3, 4):
             mult = [0] * 6
             mult[0] = n
             g = graph_D(GraphMultiplicities(tuple(mult)), tau, spec)

@@ -550,7 +550,7 @@ class TestSchwarz:
 _Y_FN = lambda z: 1j * math.pi * eisenstein_holo(2, z)  # noqa: E731
 
 
-@pytest.mark.parametrize(
+_EACH_RESIDUAL = pytest.mark.parametrize(
     "residual",
     [
         lambda h: dh_residual(halphen_closed_form, 1j, h=h),
@@ -560,10 +560,27 @@ _Y_FN = lambda z: 1j * math.pi * eisenstein_holo(2, z)  # noqa: E731
     ],
     ids=["dh_residual", "chazy_residual", "schwarz_residual", "dh_from_lambda"],
 )
+
+
+@_EACH_RESIDUAL
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
 def test_difference_step_must_be_positive(residual, h):
     with pytest.raises(DomainError, match="step h must be positive"):
         residual(h)
+
+
+@_EACH_RESIDUAL
+@pytest.mark.parametrize("h", [0.5, 1e300, math.inf])
+def test_difference_step_is_at_most_a_tenth_of_im_z(residual, h):
+    with pytest.raises(StepTooLarge, match=r"Im\(z\)/10"):
+        residual(h)
+
+
+def test_dh_residual_default_step_fits_under_the_cap():
+    # omega_i = 1/z solves DH; at Im z = 1e-6 the uncapped default step,
+    # 1e-4 * 0.1, would be 100 times the limit Im(z)/10
+    iso = lambda z: TriAxial((1 / z,) * 3, z)  # noqa: E731
+    assert dh_residual(iso, 1 + 1e-6j) < 1e-6
 
 
 class TestChazy:

@@ -18,6 +18,7 @@ from halphen_lab.maass import (
     eisenstein_lattice,
     fold_to_fundamental,
     laplacian_eigencheck,
+    lattice_points,
     riemann_zeta,
 )
 
@@ -29,6 +30,43 @@ def brute_lattice(s, tau, R):
     p2[R, R] = np.inf
     keep = p2 <= R * R
     return float(tau.imag**s * np.sum(np.where(keep, p2 ** (-s), 0.0)))
+
+
+def rectangle_lattice_points(tau, R):
+    """Reference enumerator: every m + n tau with 0 < |p| <= R, cut from
+    the padded rectangle |n| <= R/y, |m| <= R + |x| n_max + 1."""
+    n_max = int(math.floor(R / tau.imag))
+    m_pad = int(math.ceil(R + abs(tau.real) * n_max)) + 1
+    mm, nn = np.meshgrid(
+        np.arange(-m_pad, m_pad + 1), np.arange(-n_max, n_max + 1), indexing="ij"
+    )
+    p = mm + nn * tau
+    ap = np.abs(p)
+    return p[(ap > 0) & (ap <= R)]
+
+
+def rectangle_lattice_sum(s, tau, R):
+    """The lattice route of E_s over the full reference set, fsum plus the
+    continuum tail, term for term as eisenstein_lattice forms them."""
+    y = tau.imag
+    p = rectangle_lattice_points(tau, R)
+    terms = (y / (p.real**2 + p.imag**2)) ** s
+    tail = 2 * math.pi * y ** (s - 1) * R ** (2 - 2 * s) / (2 * s - 2)
+    return math.fsum(terms) + tail
+
+
+# (tau, R): a steep thin lattice, |Re tau| > 1 both ways, a non-integer
+# cutoff and a cutoff below Im tau (only the row n = 0)
+_LATTICE_CASES = [
+    (0.2 + 0.06j, 37.5),
+    (1.3 + 0.9j, 60.0),
+    (-1.3 + 1.4j, 37.5),
+    (0.3 + 3.0j, 2.0),
+    (-0.45 + 2.5j, 2.0),
+] + [
+    (complex(x, y), 60.0)
+    for x, y in np.random.default_rng(29).uniform((-0.5, 0.5), (0.5, 2.0), (6, 2))
+]
 
 
 def mpmath_fourier(s, tau, terms=40):
@@ -158,6 +196,21 @@ class TestLattice:
     def test_divergent_s(self):
         with pytest.raises(DivergentParameter):
             eisenstein_lattice(1.0, 1j)
+
+    @pytest.mark.parametrize("tau,R", _LATTICE_CASES)
+    def test_half_lattice_holds_one_of_each_pair(self, tau, R):
+        full = rectangle_lattice_points(tau, R).tolist()
+        half = lattice_points(tau, R)
+        kept, mirror = set(half.tolist()), set((-half).tolist())
+        assert len(full) == 2 * len(half) == len(kept | mirror)
+        assert not kept & mirror
+        assert kept | mirror == set(full)
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 7.0])
+    def test_bit_identical_to_full_lattice_sum(self, s):
+        for tau, R in _LATTICE_CASES:
+            got = eisenstein_lattice(s, tau, LatticeSumSpec(R=R)).value
+            assert got == rectangle_lattice_sum(s, tau, R), (s, tau, R)
 
 
 class TestFourier:
