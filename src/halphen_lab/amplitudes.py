@@ -196,15 +196,41 @@ def genus_one_propagator(
     )
 
 
+def _cutoff(R) -> int:
+    """The half-width of a square momentum grid as an int: R must be
+    integral (120.0 is accepted) and >= 2, else DomainError."""
+    if not (R >= 2 and float(R).is_integer()):
+        raise DomainError(f"momentum cutoff R must be an integer >= 2, got {R!r}")
+    return int(R)
+
+
 def _weight_grid(tau: complex, R: int):
-    """W(p) = tau_2 / (4 pi |p|^2) with W(0) = 0 on the (2R+1)^2 grid of
-    p = m + n tau, origin at the center."""
-    M, N = np.meshgrid(np.arange(-R, R + 1), np.arange(-R, R + 1), indexing="ij")
-    p2 = np.abs(M + N * tau) ** 2
-    W = np.zeros_like(p2)
-    mask = p2 > 0
-    W[mask] = tau.imag / (4 * math.pi * p2[mask])
-    return M, N, W
+    """W(p) = tau_2 / (4 pi |p|^2) on the half plane m >= 0 of the grid
+    p = m + n tau, as an (R+1) x (2R+1) array: row m = 0..R, column
+    n + R for n = -R..R.
+
+    W(-p) = W(p), so the rows m < 0 are redundant (`_full_grid` restores
+    them).  |p|^2 = (m + n x)^2 + (n y)^2 is formed from real parts: a
+    complex p and np.abs would take a square root only to square it
+    again.  The origin's |p|^2 is inf, so W(0) = 0 exactly.
+    """
+    m = np.arange(R + 1.0)[:, None]
+    n = np.arange(-R, R + 1.0)
+    p2 = (m + n * tau.real) ** 2 + (n * tau.imag) ** 2
+    p2[0, R] = math.inf
+    return tau.imag / (4 * math.pi * p2)
+
+
+def _full_grid(Wh):
+    """The (2R+1)^2 grid m, n = -R..R, origin at the centre, from the half
+    grid of `_weight_grid`: row -m is row m reversed, W(-p) = W(p)."""
+    return np.concatenate([Wh[:0:-1, ::-1], Wh])
+
+
+def _half_sum(A) -> float:
+    """Sum over the full grid of an array that is even in p, given its
+    half-plane rows m >= 0: each row m > 0 stands for itself and -m."""
+    return float(2 * A[1:].sum() + A[0].sum())
 
 
 def _next_5_smooth(n: int) -> int:
@@ -247,13 +273,15 @@ def genus_one_propagator_momentum(
     where z = u + v tau.  The full propagator is Phat + C with
     C = log|sqrt(2 pi) eta(tau)|.
     """
+    R = _cutoff(R)
     z = complex(z)
     t = tau.tau
     v = z.imag / t.imag
     u = z.real - v * t.real
-    M, N, W = _weight_grid(t, R)
-    phase = np.cos(2 * math.pi * (N * u - M * v))
-    return float(np.sum(W * phase))
+    m = np.arange(R + 1)[:, None]
+    n = np.arange(-R, R + 1)
+    # the phase is even in p like W, so the half plane carries the sum
+    return _half_sum(_weight_grid(t, R) * np.cos(2 * math.pi * (n * u - m * v)))
 
 
 def modular_anomaly(tau: ModularPoint, trunc: QTruncation = DEFAULT_TRUNC) -> float:
@@ -301,14 +329,14 @@ def kronecker_eisenstein_Dn(
     if n > 4:
         raise WeightTooLarge("D_n implemented for n in {2, 3, 4}")
     t = tau.tau
-    R = int(spec.R)
-    _, _, W = _weight_grid(t, R)
+    R = _cutoff(spec.R)
+    W = _weight_grid(t, R)
     if n == 2:
-        value = float(np.sum(W * W))
+        value = _half_sum(W * W)
     else:
         L = _next_5_smooth(n * R + 1)
         centre = np.exp(2j * math.pi * R / L * np.arange(L // 2 + 1))
-        W_hat = np.fft.hfft(np.fft.rfft(W[R:], L, axis=1) * centre, L, axis=0)
+        W_hat = np.fft.hfft(np.fft.rfft(W, L, axis=1) * centre, L, axis=0)
         P = W_hat * W_hat
         cols = (P * W_hat if n == 3 else P * P).sum(axis=0)
         # columns 0 and, for even L, L/2 are their own mirror images
@@ -413,17 +441,20 @@ def graph_D(
     topologies (all links between one pair) are D_n.  Otherwise edges
     with the same cycle vector (up to sign) carry the same momentum, so
     a one-loop graph of weight k is sum_q W(q)^k, and a two-loop graph
-    with k1 edges on q1, k2 on q2 and k3 on q1 +- q2 (k3 = 0 when it
-    factorizes) is one FFT convolution,
+    with k1 edges on q1, k2 on q2 and k3 on q1 +- q2 is one FFT
+    convolution,
 
         sum_s (W^k1 * W^k2)(s) W^k3(s).
 
     The loop momenta q1, q2 run over the (2R+1)^2 box and the derived
-    momentum s over the full (4R+1)^2 grid, uncut.  Graphs with three or
-    more loops, bananas aside, raise WeightTooLarge.
+    momentum s over the full (4R+1)^2 grid, uncut.  With k3 = 0 (two
+    loops that are disjoint or meet at one vertex) the uncut sum over s
+    is exactly the product sum W^k1 * sum W^k2, taken with no FFT.
+    Graphs with three or more loops, bananas aside, raise WeightTooLarge.
     """
     if mult.weight > 6:
         raise WeightTooLarge("total weight capped at 6")
+    R = _cutoff(spec.R)
     edges = mult.edges()
     verts, cycles = _fundamental_cycles(edges)
 
@@ -447,18 +478,21 @@ def graph_D(
         )
 
     t = tau.tau
-    R = int(spec.R)
-    _, _, W = _weight_grid(t, R)
+    W = _weight_grid(t, R)
     if loops == 1:
-        value = float(np.sum(W**mult.weight))
+        value = _half_sum(W**mult.weight)
     else:
         # each chord lies on its own cycle only, so the q1 and q2 classes
         # are never empty; the other edges share one path and carry q1 +- q2
         k1 = cycles[1].count(0)
         k2 = cycles[0].count(0)
         k3 = mult.weight - k1 - k2
-        _, _, W2 = _weight_grid(t, 2 * R)
-        value = float(np.sum(_convolve(W**k1, W**k2) * W2**k3))
+        if k3 == 0:
+            value = _half_sum(W**k1) * _half_sum(W**k2)
+        else:
+            W2 = _full_grid(_weight_grid(t, 2 * R))
+            Wf = _full_grid(W)
+            value = float(np.sum(_convolve(Wf**k1, Wf**k2) * W2**k3))
     return MaassValue(value=value, est_error=_dn_tail(mult.weight, t, R))
 
 

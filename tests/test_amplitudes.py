@@ -10,7 +10,10 @@ from scipy.special import zeta
 from halphen_lab.amplitudes import (
     GraphMultiplicities,
     Mandelstam,
+    _convolve,
+    _full_grid,
     _fundamental_cycles,
+    _weight_grid,
     decomposition_probe,
     dimension_dn,
     genus_one_propagator,
@@ -177,6 +180,11 @@ class TestPropagator:
         ]
         assert abs(float(np.mean(vals)) - modular_anomaly(tau)) < 1e-2
 
+    @pytest.mark.parametrize("R", [0, -3, 1, 2.5])
+    def test_momentum_form_rejects_bad_cutoff(self, R):
+        with pytest.raises(DomainError, match="cutoff"):
+            genus_one_propagator_momentum(0.3 + 0.2j, ModularPoint(1.1j), R=R)
+
     def test_momentum_form_grid_average_vanishes(self):
         tau = ModularPoint(1.1j)
         n = 12
@@ -188,6 +196,45 @@ class TestPropagator:
             for j in range(n)
         ]
         assert abs(float(np.mean(vals))) < 1e-2
+
+
+def _meshgrid_weight_grid(tau, R):
+    """Reference: W(p) = tau_2 / (4 pi |p|^2), W(0) = 0, on the full
+    (2R+1)^2 grid of complex p = m + n tau, origin at the centre."""
+    M, N = np.meshgrid(np.arange(-R, R + 1), np.arange(-R, R + 1), indexing="ij")
+    p2 = np.abs(M + N * tau) ** 2
+    W = np.zeros_like(p2)
+    mask = p2 > 0
+    W[mask] = tau.imag / (4 * math.pi * p2[mask])
+    return W
+
+
+_GRID_R = pytest.mark.parametrize("R", [2, 3, 60])
+_GRID_TAU = pytest.mark.parametrize("tau", [2j, 0.3 + 1.1j, 1.3 + 0.7j])
+
+
+class TestWeightGrid:
+    @_GRID_R
+    @_GRID_TAU
+    def test_half_grid_is_reference_rows_m_nonnegative(self, tau, R):
+        Wh = _weight_grid(tau, R)
+        assert Wh.shape == (R + 1, 2 * R + 1)
+        assert Wh[0, R] == 0.0
+        np.testing.assert_allclose(Wh, _meshgrid_weight_grid(tau, R)[R:], rtol=2e-15, atol=0)
+
+    @_GRID_R
+    @_GRID_TAU
+    def test_full_grid_mirrors_half(self, tau, R):
+        W = _full_grid(_weight_grid(tau, R))
+        np.testing.assert_allclose(W, _meshgrid_weight_grid(tau, R), rtol=2e-15, atol=0)
+        assert np.array_equal(W, W[::-1, ::-1])  # W(-p) == W(p) exactly
+
+    @_GRID_R
+    @_GRID_TAU
+    def test_d2_is_sum_of_squares(self, tau, R):
+        ref = float(np.sum(_meshgrid_weight_grid(tau, R) ** 2))
+        got = kronecker_eisenstein_Dn(2, ModularPoint(tau), LatticeSumSpec(R=R))
+        assert got.value == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 class TestDn:
@@ -220,6 +267,14 @@ class TestDn:
     def test_matches_enumeration(self, n, R, tau):
         got = kronecker_eisenstein_Dn(n, ModularPoint(tau), LatticeSumSpec(R=R))
         assert got.value == pytest.approx(_enumerated_dn(n, tau, R), rel=1e-12)
+
+    def test_non_integral_cutoff_rejected(self):
+        tau = ModularPoint(2j)
+        with pytest.raises(DomainError, match="37.9"):
+            kronecker_eisenstein_Dn(2, tau, LatticeSumSpec(R=37.9))
+        assert kronecker_eisenstein_Dn(3, tau, LatticeSumSpec(R=5.0)) == (
+            kronecker_eisenstein_Dn(3, tau, LatticeSumSpec(R=5))
+        )
 
     def test_divergent_and_capped(self):
         with pytest.raises(DivergentParameter):
@@ -355,6 +410,27 @@ class TestGraphD:
         g = graph_D(GraphMultiplicities((2, 0, 0, 0, 0, 2)), tau, spec)
         d2 = kronecker_eisenstein_Dn(2, tau, spec)
         assert g.value == pytest.approx(d2.value**2, rel=1e-10)
+
+    def test_bananas_sharing_a_vertex_factorize(self):
+        # no edge carries q1 +- q2: the uncut convolution sums to a product
+        tau = ModularPoint(1.1j)
+        R = 40
+        spec = LatticeSumSpec(R=R)
+        g = graph_D(GraphMultiplicities((2, 0, 0, 2, 0, 0)), tau, spec)
+        d2 = kronecker_eisenstein_Dn(2, tau, spec)
+        assert g.value == pytest.approx(d2.value**2, rel=1e-12, abs=0)
+        W2 = _meshgrid_weight_grid(tau.tau, R) ** 2
+        assert g.value == pytest.approx(float(np.sum(_convolve(W2, W2))), rel=1e-13, abs=0)
+
+    def test_non_integral_cutoff_rejected(self):
+        tau = ModularPoint(1.1j)
+        for mult in ((2, 1, 0, 1, 0, 0), (1, 0, 0, 0, 0, 1)):
+            with pytest.raises(DomainError, match="37.9"):
+                graph_D(GraphMultiplicities(mult), tau, LatticeSumSpec(R=37.9))
+        triangle = GraphMultiplicities((1, 1, 0, 1, 0, 0))
+        assert graph_D(triangle, tau, LatticeSumSpec(R=8.0)) == (
+            graph_D(triangle, tau, LatticeSumSpec(R=8))
+        )
 
     def test_weight_cap(self):
         with pytest.raises(WeightTooLarge):
