@@ -2,7 +2,8 @@
 
 Every computation is exposed through a subcommand with machine-readable
 output (JSON by default, CSV for trajectories).  Exit codes: 0 success,
-1 usage error, 2 numeric/integration failure.  Complex literals are
+1 usage error or an output pipe closed by its reader (`... | head -1`),
+2 numeric/integration failure.  Complex literals are
 written `a+bi` (e.g. `0+1i`, `1.3i`, `0.3+0.2i`).
 """
 
@@ -438,7 +439,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _set_threads(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at os.devnull, so that the
+        # interpreter's flush of the unwritten rest at exit is silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

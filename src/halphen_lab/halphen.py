@@ -28,13 +28,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DomainError, OutOfRange, PoleHit, StepUnderflow, dump_json
-from .modforms import (
-    DEFAULT_TRUNC,
-    Moebius,
-    QTruncation,
-    eisenstein_holo,
-    theta,
-)
+from .modforms import DEFAULT_TRUNC, ModularPoint, Moebius, QTruncation, theta4_e2
 
 __all__ = [
     "TriAxial",
@@ -244,22 +238,28 @@ def _rms(a, b, c) -> float:
     return math.sqrt(a * a + b * b + c * c) / _SQRT3
 
 
-def _dopri5(rhs, t0, y0, t_end, rtol, atol, events=()):
+def _dopri5(rhs, t0, y0, t_end, rtol, atol, roots=False, limit=None):
     """Integrate the autonomous system y' = rhs(y) from t0 towards t_end.
 
     The state is a triple: `y0` holds three real or complex numbers (a
     complex entry stays complex, any other becomes a float), and `rhs` maps
     a triple to a triple.  The error of a step is the RMS over the three
-    components of |error_i| / (atol + max(|y_i|, |y_new_i|) rtol).  Each
-    event is a function g(y) of a real triple; a sign change of g over an
-    accepted step (g <= 0 <= g_new or the reverse) ends the run at the root
-    of g on the dense output, found by bisection to 4 EPS, the earliest
-    root in the direction of integration winning.
+    components of |error_i| / (atol + max(|y_i|, |y_new_i|) rtol).
+
+    Two stop tests on a real state run inline on each accepted step:
+    with `roots`, a sign change of each component y_i (y_i <= 0 <= y_new_i
+    or the reverse); with a float `limit`, a sign change of
+    max|y_i| - limit.  Only when one fires are the event functions g(y)
+    built (the three components in order when `roots`, then the limit
+    test) and the run ended at the root of g on the step's dense output,
+    found by bisection to 4 EPS: the earliest root in the direction of
+    integration wins, then the lowest event index.
 
     Returns (ts, ys, fs, nfev, hit): the accepted sample times, states and
     derivatives, the number of rhs calls made by the stepper, and the index
-    of the event that ended the run (None if it reached t_end).  Raises
-    StepUnderflow when the step falls below ten float spacings of t.
+    of the event that ended the run in that list (None if it reached
+    t_end).  Raises StepUnderflow when the step falls below ten float
+    spacings of t.
     """
     t, t_end = float(t0), float(t_end)
     direction = 1.0 if t_end > t else -1.0
@@ -286,7 +286,8 @@ def _dopri5(rhs, t0, y0, t_end, rtol, atol, events=()):
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, abs(t_end - t))
 
-    g = [ev(y) for ev in events]
+    if limit is not None:
+        g_limit = max(abs(y1), abs(y2), abs(y3)) - limit
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -346,29 +347,40 @@ def _dopri5(rhs, t0, y0, t_end, rtol, atol, events=()):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             rejected = True
 
-        if events:
+        fired = roots and (
+            y1 <= 0 <= n1 or y1 >= 0 >= n1
+            or y2 <= 0 <= n2 or y2 >= 0 >= n2
+            or y3 <= 0 <= n3 or y3 >= 0 >= n3
+        )
+        if limit is not None:
+            g_new = max(abs(n1), abs(n2), abs(n3)) - limit
+            fired = fired or g_limit <= 0 <= g_new or g_limit >= 0 >= g_new
+            g_limit = g_new
+        if fired:
+            events = [operator.itemgetter(i) for i in range(3)] if roots else []
+            if limit is not None:
+                events.append(lambda y: max(abs(y[0]), abs(y[1]), abs(y[2])) - limit)
+            g = [ev(y) for ev in events]
             g_new = [ev(y_new) for ev in events]
             active = [
                 i for i, (a, b) in enumerate(zip(g, g_new))
                 if a <= 0 <= b or a >= 0 >= b
             ]
-            if active:
-                ks = (
-                    (k11, k12, k13), (k21, k22, k23), (k31, k32, k33), (k41, k42, k43),
-                    (k51, k52, k53), (k61, k62, k63), k7,
-                )
-                dense = _dense_output(t, h, y, ks)
-                # earliest root in the direction of integration, then lowest index
-                key, hit = min(
-                    (direction * _locate_root(events[i], dense, t, t_new, g[i]), i)
-                    for i in active
-                )
-                y_hit = dense(direction * key)
-                ts.append(direction * key)
-                ys.append(y_hit)
-                fs.append(rhs(y_hit))
-                return ts, ys, fs, nfev, hit
-            g = g_new
+            ks = (
+                (k11, k12, k13), (k21, k22, k23), (k31, k32, k33), (k41, k42, k43),
+                (k51, k52, k53), (k61, k62, k63), k7,
+            )
+            dense = _dense_output(t, h, y, ks)
+            # earliest root in the direction of integration, then lowest index
+            key, hit = min(
+                (direction * _locate_root(events[i], dense, t, t_new, g[i]), i)
+                for i in active
+            )
+            y_hit = dense(direction * key)
+            ts.append(direction * key)
+            ys.append(y_hit)
+            fs.append(rhs(y_hit))
+            return ts, ys, fs, nfev, hit
         t, y = t_new, y_new
         y1, y2, y3 = y_new
         k11, k12, k13 = k7
@@ -487,8 +499,10 @@ def integrate(
     located on the integrator's dense output and terminate the run when
     the corresponding flag is set.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    if not (math.isfinite(init.T) and math.isfinite(T_end)):
+        raise DomainError(f"initial time {init.T} and T_end {T_end} must be finite")
     if T_end == init.T:
         raise DomainError("T_end must differ from the initial time")
     if stop_on_root and 0.0 in init.Omega:
@@ -497,12 +511,10 @@ def integrate(
             f"root at start: initial Omega{i + 1} = 0, so the run would stop at T = {init.T}"
         )
     rhs = _system(system)[1]
-    events = [operator.itemgetter(i) for i in range(3)] if stop_on_root else []
-    if stop_on_blowup:
-        limit = 1.0 / tol
-        events.append(lambda y: max(abs(y[0]), abs(y[1]), abs(y[2])) - limit)
-
-    T, Omega, Omega_dot, nfev, hit = _dopri5(rhs, init.T, init.Omega, T_end, tol, tol, events)
+    limit = 1.0 / tol if stop_on_blowup else None
+    T, Omega, Omega_dot, nfev, hit = _dopri5(
+        rhs, init.T, init.Omega, T_end, tol, tol, stop_on_root, limit
+    )
     reason = "completed"
     root_component = None
     if hit is not None:
@@ -551,8 +563,10 @@ def integrate_ray(
 # closed forms
 
 
-def _theta4(j: int, z, trunc: QTruncation) -> complex:
-    return theta(j, 0.0, z, trunc) ** 4
+def _series(z: complex, trunc: QTruncation):
+    """(E2, theta2^4, theta3^4, theta4^4) at v = 0 and complex z, Im z >= 0.05."""
+    ModularPoint(z).require_qseries_domain()
+    return theta4_e2(cmath.exp(1j * cmath.pi * z), cmath.exp(0.25j * cmath.pi * z), trunc)
 
 
 def halphen_closed_form(z, trunc: QTruncation = DEFAULT_TRUNC) -> TriAxial:
@@ -564,8 +578,7 @@ def halphen_closed_form(z, trunc: QTruncation = DEFAULT_TRUNC) -> TriAxial:
     z = complex(z)
     if not z.imag > 0:
         raise DomainError(f"Im(z) must be > 0, got {z}")
-    e2 = eisenstein_holo(2, z, trunc)
-    t2, t3, t4 = (_theta4(j, z, trunc) for j in (2, 3, 4))
+    e2, t2, t3, t4 = _series(z, trunc)
     pref = cmath.pi / 6j
     return TriAxial(
         omega=(pref * (e2 - t2 - t3), pref * (e2 + t3 + t4), pref * (e2 + t2 - t4)),
@@ -574,23 +587,32 @@ def halphen_closed_form(z, trunc: QTruncation = DEFAULT_TRUNC) -> TriAxial:
 
 
 def halphen_closed_form_real(T: float, trunc: QTruncation = DEFAULT_TRUNC) -> RealTriAxial:
-    """Real Halphen solution Omega(T) = i omega(iT), defined for T > 0."""
+    """Real Halphen solution Omega(T) = i omega(iT), for every T > 0.
+
+    The series run at S = max(T, 1/T) >= 1 on the float nome p = e^(-pi S),
+    where |q| = p^2 <= e^(-2 pi) ~ 1.9e-3, in real arithmetic:
+    Omega(S) = (pi/6)(E2 - theta2^4 - theta3^4, E2 + theta3^4 + theta4^4,
+    E2 + theta2^4 - theta4^4).  For T < 1 the quasimodular reflection
+    Omega^{1,2,3}(T) = -(1/T^2) Omega^{2,1,3}(1/T) + 1/T carries the value
+    back, so small T neither meets the Im(tau) >= 0.05 floor of the complex
+    series nor loses digits to a slowly converging E2.  As T -> 0,
+    Omega1 ~ -pi/(2 T^2) and Omega2, Omega3 ~ 1/T.
+    """
     if not T > 0:
         raise DomainError(f"real Halphen solution needs T > 0, got T = {T}")
-    w = halphen_closed_form(1j * T, trunc).omega
-    vals = []
-    for c in w:
-        c = 1j * c
-        if abs(c.imag) > 1e-9 * max(1.0, abs(c.real)):
-            raise DomainError(f"non-real value {c} on the imaginary axis")
-        vals.append(c.real)
-    return RealTriAxial(tuple(vals), T)
+    S = T if T >= 1 else 1.0 / T
+    e2, t2, t3, t4 = theta4_e2(math.exp(-math.pi * S), math.exp(-0.25 * math.pi * S), trunc)
+    pref = math.pi / 6
+    w1, w2, w3 = pref * (e2 - t2 - t3), pref * (e2 + t3 + t4), pref * (e2 + t2 - t4)
+    if T < 1:
+        w1, w2, w3 = S - S * S * w2, S - S * S * w1, S - S * S * w3
+    return RealTriAxial((w1, w2, w3), T)
 
 
 def halphen_triplet(z, trunc: QTruncation = DEFAULT_TRUNC) -> ModularTriplet:
     """The weight-2 Gamma(2) triplet behind the Halphen solution:
     (i pi theta4^4, -i pi theta2^4, -i pi theta3^4)."""
-    t2, t3, t4 = (_theta4(j, z, trunc) for j in (2, 3, 4))
+    _, t2, t3, t4 = _series(complex(z), trunc)
     return ModularTriplet(1j * cmath.pi * t4, -1j * cmath.pi * t2, -1j * cmath.pi * t3)
 
 
@@ -672,7 +694,8 @@ def schwarz_lambda(z, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
     z = complex(z)
     if not z.imag > 0:
         raise DomainError("Im(z) must be > 0")
-    return _theta4(2, z, trunc) / _theta4(3, z, trunc)
+    _, t2, t3, _ = _series(z, trunc)
+    return t2 / t3
 
 
 def schwarz_residual(lambda_fn, z, h) -> float:
@@ -745,11 +768,15 @@ def omegas_from_chazy(cd: ChazyData, reference=None):
 def reflection_check(T: float, trunc: QTruncation = DEFAULT_TRUNC):
     """Residual triple of the quasimodular reflection identity
     Omega^{1,2,3}(T) = -(1/T^2) Omega^{2,1,3}(1/T) + 1/T
-    on the real Halphen solution."""
+    on the real Halphen solution, both sides summed directly at tau = iT and
+    tau = i/T (so Im(tau) >= 0.05 bounds T to [0.05, 20])."""
     if not (T > 0 and 1.0 / T > 0):
         raise DomainError("T and 1/T must both be positive")
-    direct = halphen_closed_form_real(T, trunc).Omega
-    mirror = halphen_closed_form_real(1.0 / T, trunc).Omega
+    # both sides by the direct series Omega(T) = i omega(iT): the real closed
+    # form applies this very reflection below T = 1, so it cannot check it
+    direct, mirror = (
+        [(1j * w).real for w in halphen_closed_form(1j * t, trunc).omega] for t in (T, 1.0 / T)
+    )
     perm = (1, 0, 2)
     return tuple(
         abs(direct[i] + mirror[perm[i]] / T**2 - 1.0 / T) for i in range(3)

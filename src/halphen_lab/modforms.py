@@ -6,6 +6,13 @@ All evaluators are plain truncated q-series in binary64: they sum until
 the running term drops below ``tol * max(1, |partial|)`` and refuse to
 work below Im(tau) = 0.05, where a q-series is the wrong tool (fold into
 the fundamental domain first with :func:`apply_moebius`).
+
+:func:`theta4_e2` is the shared-nome kernel behind the Halphen closed
+forms: E2 and the fourth powers of theta2, theta3, theta4 at v = 0 from
+one set of powers of the nome.  It takes the nome itself, so it has no
+domain check; its complex-tau callers keep the Im(tau) >= 0.05 floor, and
+on the imaginary axis the real closed form reflects T < 1 to 1/T > 1
+instead of approaching the floor.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "theta",
     "theta_char",
     "theta_char_vderiv",
+    "theta4_e2",
     "apply_moebius",
 ]
 
@@ -229,6 +237,61 @@ def theta_char_vderiv(
 ) -> complex:
     """d/dv of theta[a;b](v|tau), term-by-term."""
     return _theta_terms(ch, v, tau, trunc, lambda n: 2j * cmath.pi * n)
+
+
+def theta4_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
+    """(E2, theta2^4, theta3^4, theta4^4) at v = 0 from the nome
+    p = e^(i pi tau), |p| < 1, and p4 = p^(1/4) = e^(i pi tau/4):
+
+        theta3, theta4 = 1 + 2 sum_{n>=1} (+-1)^n p^(n^2)
+        theta2         = 2 p^(1/4) sum_{n>=0} p^(n(n+1))
+        E2             = 1 - 24 sum_{m>=1} m q^m / (1 - q^m),   q = p^2
+
+    The powers come by recurrence, p^((n+1)^2) = p^(n^2) p^(2n+1), so the
+    three theta sums share one set of products and no exponential is taken
+    per term.  The same code runs on a float nome (tau = iS on the
+    imaginary axis, p = e^(-pi S)) in real arithmetic and on a complex one.
+    The theta sums stop at the first p^(n^2) below trunc.tol, the E2 sum at
+    the first term below trunc.tol * max(1, |partial|) as in
+    :func:`eisenstein_holo`; either running past trunc.max_terms raises
+    TruncationNotReached.
+    """
+    tol = trunc.tol
+    s = alt = b_sum = 0.0  # sum p^(n^2), sum (-1)^n p^(n^2), sum p^(n(n+1)), n >= 1
+    a = b = 1.0  # p^(n^2), p^(n(n+1)) at n = 0
+    odd = p  # p^(2n - 1)
+    sign = 1.0
+    for _ in range(trunc.max_terms):
+        a *= odd
+        odd *= p
+        b *= odd
+        odd *= p
+        sign = -sign
+        s += a
+        alt += sign * a
+        b_sum += b
+        if abs(a) < tol:
+            break
+    else:
+        raise TruncationNotReached("theta4_e2: theta sums exhausted max_terms")
+    t2 = 2 * p4 * (1 + b_sum)
+    t3 = 1 + 2 * s
+    t4 = 1 + 2 * alt
+    q = p * p
+    e2 = 1.0
+    qm = 1.0
+    for m in range(1, trunc.max_terms + 1):
+        qm *= q
+        term = -24 * m * qm / (1 - qm)
+        e2 += term
+        if abs(term) < tol * max(1.0, abs(e2)):
+            break
+    else:
+        raise TruncationNotReached("theta4_e2: E2 sum exhausted max_terms")
+    t2 *= t2
+    t3 *= t3
+    t4 *= t4
+    return e2, t2 * t2, t3 * t3, t4 * t4
 
 
 def apply_moebius(M: Moebius, tau, pole_tol: float = 1e-12):

@@ -70,6 +70,21 @@ class TestSolve:
         code = main(["solve", "--halphen", "--t0", "1", "--t1", "3", "--samples", samples])
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_is_numeric_failure(self, capsys, tol):
+        # --tol nan used to hang: a NaN step never underflows
+        code = main(["solve", "--init", "1,2,3", "--t0", "1", "--t1", "3", "--tol", tol])
+        assert code == 2
+        assert "DomainError: tol must be finite and positive" in capsys.readouterr().err
+
+    def test_halphen_sampling_below_the_complex_floor(self, capsys):
+        # T = 0.02 is Im(tau) = 0.02 < 0.05 for the complex series
+        code, out = run(capsys, "solve", "--halphen", "--t0", "0.02", "--t1", "2",
+                        "--samples", "20", "--format", "json")
+        assert code == 0
+        Om = np.array(json.loads(out)["Omega"])
+        assert Om[0, 0] == pytest.approx(-math.pi / (2 * 0.02**2) + 1 / 0.02, rel=1e-12, abs=0)
+
 
 class TestCurvature:
     def test_taubnut_self_dual(self, capsys):
@@ -236,6 +251,31 @@ class TestOutputs:
                 "eisenstein", "--s", "2", "--tau", "1.3i", "--out", str(p)
             ]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_closed_pipe_is_quiet(self, monkeypatch, tmp_path):
+        # `halphen-lab flow ... | head -1`: the reader is gone, so writing
+        # raises BrokenPipeError; main exits 1 with no traceback and points
+        # stdout's descriptor at os.devnull for the flush at exit
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+            code = main(["flow", "--init", "1,2,3", "--t1", "4"])
+            assert code == 1
+            devnull = os.stat(os.devnull)
+            assert (os.fstat(fh.fileno()).st_ino, os.fstat(fh.fileno()).st_dev) == (
+                devnull.st_ino, devnull.st_dev)
 
     def test_unknown_command_is_usage_error(self, capsys):
         code = main(["frobnicate"])

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -104,6 +105,19 @@ class TestIntegrate:
         traj = integrate("dh", RealTriAxial((1.0, 1.0, 1.0), 1.0), 0.0, tol=1e-6)
         assert traj.reason == "blowup"
         assert np.max(np.abs(traj.Omega[-1])) > 1e5
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_nonfinite_or_nonpositive_tol(self, tol):
+        # a NaN tol made every step NaN, which never underflows: the run hung
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            integrate("dh", RealTriAxial((1.0, 2.0, 3.0), 1.0), 3.0, tol=tol)
+
+    @pytest.mark.parametrize("T0, T_end", [(1.0, math.nan), (1.0, math.inf),
+                                           (1.0, -math.inf), (math.nan, 3.0)])
+    def test_rejects_nonfinite_times(self, T0, T_end):
+        # T_end = NaN integrated backwards and stopped at a root at T = 0.83
+        with pytest.raises(DomainError, match="must be finite"):
+            integrate("dh", RealTriAxial((1.0, 2.0, 3.0), T0), T_end)
 
     def test_trajectory_serialization(self):
         traj = integrate("dh", RealTriAxial((1.0, 2.0, 3.0), 1.0), 2.0)
@@ -366,9 +380,10 @@ def _dopri5_reference(rhs, t0, y0, t_end, rtol, atol, events=()):
             return ts, ys, fs, nfev, None
 
 
-def _stepper_run(dopri5, rhs, t0, y0, t_end, tol, events):
-    """A run's (ts, ys, fs, nfev, hit), with states and derivatives as tuples."""
-    ts, ys, fs, nfev, hit = dopri5(rhs, t0, y0, t_end, tol, tol, events)
+def _stepper_run(dopri5, rhs, t0, y0, t_end, tol, *stops):
+    """A run's (ts, ys, fs, nfev, hit), with states and derivatives as tuples;
+    `stops` are the stop conditions as `dopri5` takes them."""
+    ts, ys, fs, nfev, hit = dopri5(rhs, t0, y0, t_end, tol, tol, *stops)
     return ts, [tuple(y) for y in ys], [tuple(f) for f in fs], nfev, hit
 
 
@@ -395,9 +410,10 @@ class TestStepperBitIdentity:
             t0 = rng.uniform(-2.0, 2.0)
             t_end = t0 + rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 15.0)
             tol = rng.choice((1e-6, 1e-9, 1e-10))
-            events = _stepper_events(run % 3 != 2, tol)
-            new = _stepper_run(H._dopri5, rhs, t0, y0, t_end, tol, events)
-            ref = _stepper_run(_dopri5_reference, rhs, t0, y0, t_end, tol, events)
+            roots = run % 3 != 2
+            new = _stepper_run(H._dopri5, rhs, t0, y0, t_end, tol, roots, 1.0 / tol)
+            ref = _stepper_run(_dopri5_reference, rhs, t0, y0, t_end, tol,
+                               _stepper_events(roots, tol))
             assert repr(new) == repr(ref)
             hits.add(new[-1])
         # runs ended on each root event, on blowup and at t_end
@@ -417,9 +433,9 @@ class TestStepperBitIdentity:
     @pytest.mark.parametrize("roots", [True, False])
     def test_edge_data(self, system, y0, t0, t_end, roots):
         rhs = system_rhs(system)
-        events = _stepper_events(roots, 1e-9)
-        new = _stepper_run(H._dopri5, rhs, t0, y0, t_end, 1e-9, events)
-        ref = _stepper_run(_dopri5_reference, rhs, t0, y0, t_end, 1e-9, events)
+        new = _stepper_run(H._dopri5, rhs, t0, y0, t_end, 1e-9, roots, 1.0 / 1e-9)
+        ref = _stepper_run(_dopri5_reference, rhs, t0, y0, t_end, 1e-9,
+                           _stepper_events(roots, 1e-9))
         assert repr(new) == repr(ref)
 
     def test_step_underflow(self):
@@ -427,6 +443,26 @@ class TestStepperBitIdentity:
         for dopri5 in (H._dopri5, _dopri5_reference):
             with pytest.raises(StepUnderflow, match="spacing between numbers"):
                 dopri5(system_rhs("lagrange"), 1, (1, 1, 1), 10, 1e-9, 1e-9)
+
+
+def _mp_halphen_real(T):
+    """Omega(T) at 40 digits from mpmath's theta functions and the E2 Lambert
+    series, all summed directly at the nome e^(-pi T)."""
+    with mp.workdps(40):
+        p = mp.exp(-mp.pi * mp.mpf(T))
+        t2, t3, t4 = (mp.jtheta(j, 0, p) ** 4 for j in (2, 3, 4))
+        q = p * p
+        e2, qm, m = mp.mpf(1), mp.mpf(1), 0
+        while True:
+            m += 1
+            qm *= q
+            term = 24 * m * qm / (1 - qm)
+            e2 -= term
+            if term < mp.mpf(10) ** -45:
+                break
+        pref = mp.pi / 6
+        return [float(pref * (e2 - t2 - t3)), float(pref * (e2 + t3 + t4)),
+                float(pref * (e2 + t2 - t4))]
 
 
 class TestClosedForm:
@@ -456,6 +492,29 @@ class TestClosedForm:
         for i in (1, 2):
             assert abs(O[i] - 1 / T) < 0.05 / T
 
+    @pytest.mark.parametrize("T", [0.04, 0.01, 1e-4])
+    def test_small_T_below_the_complex_floor(self, T):
+        # Im(tau) = T < 0.05 is refused by the complex series; the real form
+        # reflects to 1/T and keeps the asymptotics
+        O = halphen_closed_form_real(T).Omega
+        assert abs(O[0] + math.pi / (2 * T**2) - 1 / T) < 1e-12 * math.pi / (2 * T**2)
+        for i in (1, 2):
+            assert abs(O[i] - 1 / T) < 1e-12 / T
+        with pytest.raises(DomainError, match="fold into the fundamental domain"):
+            halphen_closed_form(1j * T)
+
+    @pytest.mark.parametrize("T", [0.05, 0.3, 0.9, 1.0, 1.1, 3.3, 10.0, 19.0])
+    def test_real_form_matches_direct_series(self, T):
+        direct = [(1j * w).real for w in halphen_closed_form(1j * T).omega]
+        O = halphen_closed_form_real(T).Omega
+        assert max(abs(a - b) for a, b in zip(O, direct)) < 1e-12 * max(map(abs, direct))
+
+    @pytest.mark.parametrize("T", [0.01, 0.04, 0.05, 0.3, 0.9, 1.0, 1.1, 3.3, 10.0, 100.0])
+    def test_real_form_matches_mpmath(self, T):
+        ref = _mp_halphen_real(T)
+        O = halphen_closed_form_real(T).Omega
+        assert max(abs(a - b) for a, b in zip(O, ref)) <= 2e-15 * max(map(abs, ref))
+
     def test_rejects_nonpositive_T(self):
         with pytest.raises(DomainError):
             halphen_closed_form_real(-1.0)
@@ -481,6 +540,18 @@ class TestReflection:
     @pytest.mark.parametrize("T", [1.0, 2.0, 0.5, 5.0])
     def test_residual(self, T):
         assert max(reflection_check(T)) < 1e-8
+
+    def test_checks_the_direct_series(self, monkeypatch):
+        # a complex closed form that breaks the reflection must show up, so
+        # the check may not route through the reflected real form
+        exact = H.halphen_closed_form
+
+        def skewed(z, trunc=H.DEFAULT_TRUNC):
+            w = exact(z, trunc)
+            return TriAxial((w.omega[0] * (1 + 1e-6), *w.omega[1:]), w.z)
+
+        monkeypatch.setattr(H, "halphen_closed_form", skewed)
+        assert max(reflection_check(0.5)) > 1e-7
 
 
 class TestSL2:
