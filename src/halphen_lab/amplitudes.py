@@ -35,7 +35,9 @@ from .errors import (
     PoleHit,
     WeightTooLarge,
 )
-from .maass import LatticeSumSpec, MaassValue, eisenstein_fourier, riemann_zeta
+from .maass import (
+    LatticeSumSpec, MaassValue, _check_array_size, eisenstein_fourier, riemann_zeta
+)
 from .modforms import DEFAULT_TRUNC, ModularPoint, QTruncation, dedekind_eta, theta
 
 __all__ = [
@@ -56,7 +58,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Mandelstam:
-    """Massless four-point kinematics; u is forced to -(s+t)."""
+    """Massless four-point kinematics; u is forced to -(s+t).  alpha' s,
+    alpha' t, alpha' u and their product (the amplitude's pole prefactor)
+    must be finite."""
 
     s: float
     t: float
@@ -65,6 +69,12 @@ class Mandelstam:
     def __post_init__(self):
         if self.alpha_prime <= 0:
             raise DomainError("alpha_prime must be positive")
+        x, y, z = self.xs
+        if not math.isfinite(x * y * z):
+            raise DomainError(
+                f"alpha' s t u must be finite, got s = {self.s}, t = {self.t}, "
+                f"alpha' = {self.alpha_prime}"
+            )
 
     @property
     def u(self) -> float:
@@ -198,10 +208,13 @@ def genus_one_propagator(
 
 def _cutoff(R) -> int:
     """The half-width of a square momentum grid as an int: R must be
-    integral (120.0 is accepted) and >= 2, else DomainError."""
+    integral (120.0 is accepted) and >= 2, else DomainError, and its weight
+    grid, which every momentum sum builds, must fit the array budget."""
     if not (R >= 2 and float(R).is_integer()):
         raise DomainError(f"momentum cutoff R must be an integer >= 2, got {R!r}")
-    return int(R)
+    R = int(R)
+    _check_array_size((R + 1) * (2 * R + 1), 8, f"the momentum grid at R = {R}")
+    return R
 
 
 def _weight_grid(tau: complex, R: int):
@@ -330,13 +343,14 @@ def kronecker_eisenstein_Dn(
         raise WeightTooLarge("D_n implemented for n in {2, 3, 4}")
     t = tau.tau
     R = _cutoff(spec.R)
-    W = _weight_grid(t, R)
     if n == 2:
+        W = _weight_grid(t, R)
         value = _half_sum(W * W)
     else:
         L = _next_5_smooth(n * R + 1)
+        _check_array_size(L * (L // 2 + 1), 8, f"the D_{n} transform at R = {R}")
         centre = np.exp(2j * math.pi * R / L * np.arange(L // 2 + 1))
-        W_hat = np.fft.hfft(np.fft.rfft(W, L, axis=1) * centre, L, axis=0)
+        W_hat = np.fft.hfft(np.fft.rfft(_weight_grid(t, R), L, axis=1) * centre, L, axis=0)
         P = W_hat * W_hat
         cols = (P * W_hat if n == 3 else P * P).sum(axis=0)
         # columns 0 and, for even L, L/2 are their own mirror images
@@ -478,9 +492,8 @@ def graph_D(
         )
 
     t = tau.tau
-    W = _weight_grid(t, R)
     if loops == 1:
-        value = _half_sum(W**mult.weight)
+        value = _half_sum(_weight_grid(t, R) ** mult.weight)
     else:
         # each chord lies on its own cycle only, so the q1 and q2 classes
         # are never empty; the other edges share one path and carry q1 +- q2
@@ -488,10 +501,13 @@ def graph_D(
         k2 = cycles[0].count(0)
         k3 = mult.weight - k1 - k2
         if k3 == 0:
+            W = _weight_grid(t, R)
             value = _half_sum(W**k1) * _half_sum(W**k2)
         else:
+            F = _next_5_smooth(4 * R + 1)
+            _check_array_size(F * F, 8, f"the two-loop convolution at R = {R}")
             W2 = _full_grid(_weight_grid(t, 2 * R))
-            Wf = _full_grid(W)
+            Wf = _full_grid(_weight_grid(t, R))
             value = float(np.sum(_convolve(Wf**k1, Wf**k2) * W2**k3))
     return MaassValue(value=value, est_error=_dn_tail(mult.weight, t, R))
 

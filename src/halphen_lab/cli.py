@@ -227,7 +227,10 @@ def _cmd_graphd(args):
     from .amplitudes import GraphMultiplicities, graph_D
     from .maass import LatticeSumSpec
 
-    mult = GraphMultiplicities(tuple(int(x) for x in args.mult.split(",")))
+    try:
+        mult = GraphMultiplicities(tuple(int(x) for x in args.mult.split(",")))
+    except ValueError:
+        raise _UsageError(f"cannot parse integer multiplicities from {args.mult!r}")
     tau = ModularPoint(parse_complex(args.tau))
     val = graph_D(mult, tau, LatticeSumSpec(R=args.cutoff))
     _emit(

@@ -43,6 +43,7 @@ from .modforms import (
     theta,
     theta_char,
     theta_char_vderiv,
+    weight2_transport,
 )
 
 __all__ = [
@@ -133,8 +134,6 @@ def w_theta_solution(
     the family smooth in (a, b).
     """
     z = complex(z)
-    if not z.imag > 0:
-        raise DomainError("Im(z) must be > 0")
     th2, th3, th4 = (theta(j, 0.0, z, trunc) for j in (2, 3, 4))
     denom = theta_char(ThetaChar(a, b), 0.0, z, trunc)
     if abs(denom) < 1e-12:
@@ -169,11 +168,9 @@ def ah_limit_solution(
     """
     z = complex(z)
     z0 = complex(z0)
-    if not z.imag > 0:
-        raise DomainError("Im(z) must be > 0")
+    th2, th3, th4 = (theta(j, 0.0, z, trunc) for j in (2, 3, 4))
     if abs(z + z0) < 1e-12:
         raise PoleHit(f"z + z0 = {z + z0} below tolerance")
-    th2, th3, th4 = (theta(j, 0.0, z, trunc) for j in (2, 3, 4))
     t2, t3, t4 = th2**4, th3**4, th4**4
     e2 = eisenstein_holo(2, z, trunc)
     pole = 1j / (z + z0)
@@ -223,23 +220,10 @@ def w_lambda_system_residual(
 
 
 def sl2_generate_pair(delta_fn, omega_fn, M):
-    """Transport a joint solution of systems I and II:
-
-        delta~(z) = (cz+d)^-2 delta((az+b)/(cz+d)) + c/(cz+d),
-        omega~(z) = (cz+d)^-2 omega((az+b)/(cz+d)).
-    """
-
-    def generated(z):
-        z = complex(z)
-        denom = M.c * z + M.d
-        if abs(denom) < 1e-12:
-            raise PoleHit(f"c z + d = {denom} below tolerance")
-        zz = (M.a * z + M.b) / denom
-        d = tuple(v / denom**2 + M.c / denom for v in delta_fn(zz))
-        o = tuple(v / denom**2 for v in omega_fn(zz))
-        return ConformalState(delta=d, omega=o, z=z)
-
-    return generated
+    """Transport a joint solution of systems I and II: Delta by
+    `weight2_transport` with its shift c/(cz+d), Omega without it."""
+    delta, omega = weight2_transport(delta_fn, M), weight2_transport(omega_fn, M, s=0)
+    return lambda z: ConformalState(delta=delta(z), omega=omega(z), z=complex(z))
 
 
 def asd_curvature_identity(state: ConformalState) -> tuple:
@@ -314,11 +298,17 @@ def cp_harmonic_check(field: CPField, rho: float, eta: float, h: float) -> float
 
         rho^2 (F_rho_rho + F_eta_eta) = (3/4) F
 
-    by 5-point central differences in each variable."""
+    by 5-point central differences in each variable.  DomainError unless
+    rho, eta and the residual are finite."""
+    if not (math.isfinite(rho) and math.isfinite(eta)):
+        raise DomainError(f"rho and eta must be finite, got rho = {rho}, eta = {eta}")
     numdiff.check_step(h)
     if rho <= 2 * h:
         raise StepTooLarge(f"need rho > 2h, got rho = {rho}, h = {h}")
     F0 = field(rho, eta)
     Frr = numdiff.second_5pt([field(rho + k * h, eta) for k in (-2, -1, 0, 1, 2)], h)
     Fee = numdiff.second_5pt([field(rho, eta + k * h) for k in (-2, -1, 0, 1, 2)], h)
-    return abs(rho * rho * (Frr + Fee) - 0.75 * F0) / max(abs(F0), 1e-300)
+    res = abs(rho * rho * (Frr + Fee) - 0.75 * F0) / max(abs(F0), 1e-300)
+    if not math.isfinite(res):
+        raise DomainError(f"the residual at rho = {rho}, eta = {eta} overflows a float")
+    return res

@@ -117,11 +117,16 @@ class KinematicsDegenerate(HalphenLabError):
 
 
 class NotConverged(HalphenLabError):
-    """Series form of the amplitude did not converge at the given order."""
+    """A series did not converge at the given order, or an adaptive run
+    spent its step budget."""
 
 
 class LatticePointHit(HalphenLabError):
     """Propagator argument z lies on the lattice Z + tau*Z."""
+
+
+class CutoffTooLarge(HalphenLabError):
+    """A cutoff would make a lattice sum build an array above its budget."""
 
 
 class WeightTooLarge(HalphenLabError):

@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numdiff
-from .errors import DomainError, OutOfRange, PoleHit, StepUnderflow, dump_json
-from .modforms import DEFAULT_TRUNC, ModularPoint, Moebius, QTruncation, theta4_e2
+from .errors import DomainError, NotConverged, PoleHit, StepUnderflow, dump_json
+from .modforms import (
+    DEFAULT_TRUNC, ModularPoint, Moebius, QTruncation, theta4_e2, weight2_transport
+)
 
 __all__ = [
     "TriAxial",
@@ -228,6 +230,7 @@ _P = (
     (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+MAX_STEPS = 100_000  # accepted steps per run; a few hundred is typical
 _EPS = sys.float_info.epsilon
 _SQRT3 = 3 ** 0.5
 
@@ -259,7 +262,8 @@ def _dopri5(rhs, t0, y0, t_end, rtol, atol, roots=False, limit=None):
     derivatives, the number of rhs calls made by the stepper, and the index
     of the event that ended the run in that list (None if it reached
     t_end).  Raises StepUnderflow when the step falls below ten float
-    spacings of t.
+    spacings of t (or the first step is 0, because the scaled right-hand
+    side overflows), and NotConverged after MAX_STEPS accepted steps.
     """
     t, t_end = float(t0), float(t_end)
     direction = 1.0 if t_end > t else -1.0
@@ -276,6 +280,8 @@ def _dopri5(rhs, t0, y0, t_end, rtol, atol, roots=False, limit=None):
     d1 = _rms(k11 / s1, k12 / s2, k13 / s3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, abs(t_end - t))
+    if not h0 > 0:
+        raise StepUnderflow(f"first step is 0: the scaled right-hand side at t = {t} overflows")
     h = h0 * direction
     u1, u2, u3 = rhs((y1 + h * k11, y2 + h * k12, y3 + h * k13))
     nfev = 2
@@ -389,6 +395,8 @@ def _dopri5(rhs, t0, y0, t_end, rtol, atol, roots=False, limit=None):
         fs.append(k7)
         if direction * (t - t_end) >= 0:
             return ts, ys, fs, nfev, None
+        if len(ts) > MAX_STEPS:
+            raise NotConverged(f"step budget of {MAX_STEPS} spent at t = {t}, short of {t_end}")
 
 
 def _dense_output(t_old, h, y_old, ks):
@@ -445,23 +453,6 @@ class Trajectory:
         dT = np.diff(self.T)
         if not (np.all(dT > 0) or np.all(dT < 0)):
             raise DomainError("trajectory time must be strictly monotone")
-
-    @property
-    def T_start(self) -> float:
-        return float(self.T[0])
-
-    @property
-    def T_end(self) -> float:
-        return float(self.T[-1])
-
-    def state_at(self, T: float) -> RealTriAxial:
-        """Linear interpolation between samples (monotone T assumed)."""
-        Ts = self.T if self.T[0] < self.T[-1] else self.T[::-1]
-        Om = self.Omega if self.T[0] < self.T[-1] else self.Omega[::-1]
-        if not (Ts[0] <= T <= Ts[-1]):
-            raise OutOfRange(f"T = {T} outside run [{Ts[0]}, {Ts[-1]}]")
-        vals = [float(np.interp(T, Ts, Om[:, i])) for i in range(3)]
-        return RealTriAxial(tuple(vals), T)
 
     def to_csv(self) -> str:
         # a float's repr never needs CSV quoting
@@ -576,8 +567,6 @@ def halphen_closed_form(z, trunc: QTruncation = DEFAULT_TRUNC) -> TriAxial:
     thetas at v = 0.
     """
     z = complex(z)
-    if not z.imag > 0:
-        raise DomainError(f"Im(z) must be > 0, got {z}")
     e2, t2, t3, t4 = _series(z, trunc)
     pref = cmath.pi / 6j
     return TriAxial(
@@ -631,41 +620,19 @@ def taub_nut_family(T: float, T0: float, T_star: float) -> RealTriAxial:
 
 def sl2_generate(sol, M: Moebius):
     """Map a solution z -> TriAxial through
-    w~(z) = (cz+d)^-2 w((az+b)/(cz+d)) + c/(cz+d)."""
-
-    def generated(z):
-        z = complex(z)
-        denom = M.c * z + M.d
-        if abs(denom) < 1e-12:
-            raise PoleHit(f"c z + d = {denom} below tolerance")
-        base = sol((M.a * z + M.b) / denom)
-        w = _components(base)
-        shift = M.c / denom
-        return TriAxial(tuple(wi / denom**2 + shift for wi in w), z=z)
-
-    return generated
+    w~(z) = (cz+d)^-2 w((az+b)/(cz+d)) + c/(cz+d) (`weight2_transport`)."""
+    w = weight2_transport(lambda z: _components(sol(z)), M)
+    return lambda z: TriAxial(w(z), complex(z))
 
 
 def sl2_generate_real(sol, A: float, B: float, C: float, D: float):
     """Real form of the solution map for SL(2, R) matrices acting on
-    Omega(T)."""
-    det = A * D - B * C
-    if det <= 0:
+    Omega(T): the matrix is renormalized to det = 1, so it must have
+    det > 0."""
+    if A * D - B * C <= 0:
         raise DomainError("real matrix must have positive determinant")
-    r = math.sqrt(det)
-    A, B, C, D = A / r, B / r, C / r, D / r
-
-    def generated(T):
-        denom = C * T + D
-        if abs(denom) < 1e-12:
-            raise PoleHit(f"C T + D = {denom} below tolerance")
-        base = sol((A * T + B) / denom)
-        w = _components(base)
-        return RealTriAxial(
-            tuple(wi / denom**2 + C / denom for wi in w), T
-        )
-
-    return generated
+    w = weight2_transport(lambda T: _components(sol(T)), Moebius(A, B, C, D))
+    return lambda T: RealTriAxial(w(T), T)
 
 
 def dh_residual(sol, z, h=None) -> float:
@@ -691,10 +658,7 @@ def dh_residual(sol, z, h=None) -> float:
 
 def schwarz_lambda(z, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
     """lambda_H(z) = theta2(0|z)^4 / theta3(0|z)^4."""
-    z = complex(z)
-    if not z.imag > 0:
-        raise DomainError("Im(z) must be > 0")
-    _, t2, t3, _ = _series(z, trunc)
+    _, t2, t3, _ = _series(complex(z), trunc)
     return t2 / t3
 
 

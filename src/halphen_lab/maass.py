@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentParameter, DomainError, OutOfRange, PoleAtS
-from .modforms import ModularPoint
+from .errors import CutoffTooLarge, DivergentParameter, DomainError, OutOfRange, PoleAtS
+from .modforms import _as_point
 from .numdiff import check_step, second_5pt
 
 __all__ = [
@@ -55,6 +55,18 @@ class LatticeSumSpec:
             raise DomainError("shell cutoff R must be >= 2")
 
 
+MAX_ARRAY_BYTES = 2**28  # the largest array one lattice or momentum sum may build
+
+
+def _check_array_size(items, itemsize: int, what: str):
+    """CutoffTooLarge if the largest array `what` builds, `items` entries of
+    `itemsize` bytes, exceeds MAX_ARRAY_BYTES."""
+    size = items * itemsize
+    if not size <= MAX_ARRAY_BYTES:
+        raise CutoffTooLarge(f"{what} would build an array of up to {size / 2**30:.3g} GiB, "
+                             f"above the {MAX_ARRAY_BYTES >> 20} MiB budget")
+
+
 @dataclass(frozen=True)
 class MaassValue:
     value: float
@@ -71,15 +83,6 @@ class MaassValue:
         )
 
 
-def _as_tau(tau) -> complex:
-    if isinstance(tau, ModularPoint):
-        return tau.tau
-    tau = complex(tau)
-    if not tau.imag > 0:
-        raise DomainError(f"Im(tau) must be > 0, got {tau}")
-    return tau
-
-
 def lattice_points(tau, R: float):
     """One point of each pair +-p of Z + tau*Z with 0 < |p| <= R: the rows
     n > 0, and n = 0 with m > 0, as a complex array of p = m + n*tau.
@@ -91,8 +94,10 @@ def lattice_points(tau, R: float):
     even function of p has the same value on both halves: twice the
     exactly rounded sum over the half (math.fsum) is the exactly rounded
     sum over the whole set, since doubling is exact."""
-    tau = _as_tau(tau)
+    tau = _as_point(tau).tau
     x, y = tau.real, tau.imag
+    # floor(R/y) + 1 rows of at most 2R + 5 points each
+    _check_array_size((R / y + 1) * (2 * R + 5), 16, f"the lattice sum at R = {R}")
     n = np.arange(int(math.floor(R / y)) + 1)
     reach = np.sqrt(np.maximum(R * R - (n * y) ** 2, 0.0))
     lo = np.floor(-n * x - reach).astype(np.int64) - 1
@@ -120,9 +125,10 @@ def eisenstein_lattice(
     the empirically calibrated residual of that correction.  The terms
     are even in p, so the sum runs over lattice_points' half lattice and
     is doubled."""
+    _check_s(s)
     if not s > 1:
         raise DivergentParameter(f"lattice sum needs s > 1, got s = {s}")
-    tau = _as_tau(tau)
+    tau = _as_point(tau).tau
     y = tau.imag
     p = lattice_points(tau, spec.R)
     # (y/|p|^2)^s underflows to 0 far out where |p|^(2s) alone would overflow
@@ -130,6 +136,11 @@ def eisenstein_lattice(
     value = 2.0 * math.fsum(terms.tolist())
     tail = 2 * math.pi * y ** (s - 1) * spec.R ** (2 - 2 * s) / (2 * s - 2)
     return MaassValue(value=value + tail, est_error=tail * 30.0 / spec.R**2)
+
+
+def _check_s(s):
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got s = {s}")
 
 
 def divisor_sigma(alpha: float, n: int) -> float:
@@ -245,6 +256,7 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     has leading term y^s.  E_s is SL(2,Z)-invariant, so tau is first
     folded into the fundamental domain, where Im tau >= sqrt(3)/2.
     """
+    _check_s(s)
     if s == 1:
         raise PoleAtS("E_s has a pole at s = 1")
     tau = fold_to_fundamental(tau)
@@ -278,7 +290,7 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
 def laplacian_eigencheck(s: float, tau, h: float, n_max: int = 40) -> float:
     """|y^2 (d_xx + d_yy) E_s - s(s-1) E_s| / |E_s| with 5-point stencils
     on Fourier-path values."""
-    tau = _as_tau(tau)
+    tau = _as_point(tau).tau
     x, y = tau.real, tau.imag
     check_step(h, y / 10, "Im(tau)/10")
 
@@ -295,7 +307,7 @@ def laplacian_eigencheck(s: float, tau, h: float, n_max: int = 40) -> float:
 def fold_to_fundamental(tau, max_iter: int = 200) -> complex:
     """Apply T: tau -> tau + 1 and S: tau -> -1/tau until |Re| <= 1/2 and
     |tau| >= 1 (the SL(2,Z) fundamental domain)."""
-    tau = _as_tau(tau)
+    tau = _as_point(tau).tau
     for _ in range(max_iter):
         tau = complex(tau.real - round(tau.real), tau.imag)
         if abs(tau) >= 1 - 1e-15:

@@ -5,7 +5,7 @@ functions (with characteristics and v-derivatives) and Moebius maps.
 All evaluators are plain truncated q-series in binary64: they sum until
 the running term drops below ``tol * max(1, |partial|)`` and refuse to
 work below Im(tau) = 0.05, where a q-series is the wrong tool (fold into
-the fundamental domain first with :func:`apply_moebius`).
+the fundamental domain first, as :func:`maass.fold_to_fundamental` does).
 
 :func:`theta4_e2` is the shared-nome kernel behind the Halphen closed
 forms: E2 and the fourth powers of theta2, theta3, theta4 at v = 0 from
@@ -36,6 +36,7 @@ __all__ = [
     "theta_char_vderiv",
     "theta4_e2",
     "apply_moebius",
+    "weight2_transport",
 ]
 
 MIN_IM_TAU = 0.05
@@ -43,15 +44,16 @@ MIN_IM_TAU = 0.05
 
 @dataclass(frozen=True)
 class ModularPoint:
-    """A point tau in the upper half-plane, carrying its nome q."""
+    """A point tau in the upper half-plane, carrying its nome q: the one
+    check that turns input into such a point."""
 
     tau: complex
 
     def __post_init__(self):
-        if not (self.tau.imag > 0):
-            raise DomainError(f"Im(tau) must be > 0, got tau = {self.tau}")
+        if not (self.tau.imag > 0 and cmath.isfinite(self.tau)):
+            raise DomainError(f"tau must be finite with Im(tau) > 0, got tau = {self.tau}")
         if not abs(self.q) < 1:
-            raise DomainError(f"|q| must be < 1, got |q| = {abs(self.q)}")
+            raise DomainError(f"|q| must be < 1, got |q| = {abs(self.q)} at tau = {self.tau}")
 
     @property
     def q(self) -> complex:
@@ -82,7 +84,8 @@ class ThetaChar:
 
 @dataclass(frozen=True)
 class Moebius:
-    """An SL(2,C) matrix (a b; c d), renormalized to det = 1."""
+    """An SL(2,C) matrix (a b; c d), renormalized to det = 1; a real one with
+    det > 0 stays real."""
 
     a: complex
     b: complex
@@ -93,25 +96,19 @@ class Moebius:
         det = self.a * self.d - self.b * self.c
         if det == 0:
             raise DomainError("Moebius matrix is singular")
-        r = cmath.sqrt(det)
+        r = cmath.sqrt(det) if isinstance(det, complex) or det < 0 else math.sqrt(det)
         object.__setattr__(self, "a", self.a / r)
         object.__setattr__(self, "b", self.b / r)
         object.__setattr__(self, "c", self.c / r)
         object.__setattr__(self, "d", self.d / r)
 
-    @classmethod
-    def identity(cls) -> "Moebius":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def inversion(cls) -> "Moebius":
-        """z -> -1/z."""
-        return cls(0, -1, 1, 0)
-
-    @classmethod
-    def translation(cls, n: complex = 1) -> "Moebius":
-        """z -> z + n."""
-        return cls(1, n, 0, 1)
+    def __call__(self, z):
+        """(Mz, cz + d) with Mz = (az + b)/(cz + d): the package's one Moebius
+        map and pole check (PoleHit when |cz + d| < 1e-12)."""
+        j = self.c * z + self.d
+        if abs(j) < 1e-12:
+            raise PoleHit(f"c z + d = {j} below tolerance")
+        return (self.a * z + self.b) / j, j
 
 
 @dataclass(frozen=True)
@@ -294,15 +291,21 @@ def theta4_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
     return e2, t2 * t2, t3 * t3, t4 * t4
 
 
-def apply_moebius(M: Moebius, tau, pole_tol: float = 1e-12):
-    """(a tau + b) / (c tau + d); returns a ModularPoint when possible,
-    else the bare complex value (the map can leave the upper half-plane
-    for complex matrices)."""
-    pt = _as_point(tau)
-    denom = M.c * pt.tau + M.d
-    if abs(denom) < pole_tol:
-        raise PoleHit(f"c*tau + d = {denom} below tolerance")
-    value = (M.a * pt.tau + M.b) / denom
-    if value.imag > 0:
-        return ModularPoint(value)
-    return value
+def apply_moebius(M: Moebius, tau):
+    """M tau: a ModularPoint when possible, else the bare complex value (the
+    map can leave the upper half-plane for complex matrices)."""
+    value = M(_as_point(tau).tau)[0]
+    return ModularPoint(value) if value.imag > 0 else value
+
+
+def weight2_transport(w, M: Moebius, s: int = 1):
+    """The function z -> (cz+d)^-2 w(Mz) + s c/(cz+d), componentwise, for a
+    triple-valued w: the one weight-2 action.  s = 1 (the law of E2) carries
+    Darboux-Halphen solutions to solutions; s = 0 is the plain weight-2 law.
+    A real M and a real z give real values."""
+
+    def transported(z):
+        mz, j = M(z)
+        return tuple(v / j**2 + s * M.c / j for v in w(mz))
+
+    return transported

@@ -27,6 +27,7 @@ from halphen_lab.amplitudes import (
     tree_amplitude_series,
 )
 from halphen_lab.errors import (
+    CutoffTooLarge,
     DivergentParameter,
     DomainError,
     KinematicsDegenerate,
@@ -43,6 +44,13 @@ class TestTreeAmplitude:
     def test_u_is_forced(self):
         k = Mandelstam(0.2, 0.3)
         assert k.u == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("s, t", [(math.nan, 0.1), (math.inf, 0.2), (1e300, 0.2),
+                                      (0.2, -math.inf)])
+    def test_nonfinite_kinematics(self, s, t):
+        # NaN printed a NaN amplitude; inf and 1e300 overflowed in Gamma
+        with pytest.raises(DomainError, match="alpha' s t u must be finite"):
+            Mandelstam(s, t)
 
     def test_gamma_vs_series(self):
         k = Mandelstam(0.1, 0.15)
@@ -238,6 +246,12 @@ class TestWeightGrid:
 
 
 class TestDn:
+    @pytest.mark.parametrize("n, R, size", [(2, 100000, "149 GiB"), (4, 3000, "0.55 GiB")])
+    def test_cutoff_above_the_array_budget(self, n, R, size):
+        # R = 100000 asked numpy for a 149 GiB weight grid
+        with pytest.raises(CutoffTooLarge, match=size):
+            kronecker_eisenstein_Dn(n, ModularPoint(2j), LatticeSumSpec(R=R))
+
     def test_d2_is_eisenstein(self):
         tau = ModularPoint(1.2j)
         d2 = kronecker_eisenstein_Dn(2, tau)
@@ -338,6 +352,11 @@ def _enumerated_graph_sum(mult, tau, R):
 
 
 class TestGraphD:
+    def test_cutoff_above_the_array_budget(self):
+        with pytest.raises(CutoffTooLarge, match="two-loop convolution"):
+            graph_D(GraphMultiplicities((1, 1, 1, 1, 1, 0)), ModularPoint(2j),
+                    LatticeSumSpec(R=2000))
+
     def test_cycles_conserve_momentum(self):
         _, cycles = _fundamental_cycles(GraphMultiplicities((1, 1, 0, 1, 0, 0)).edges())
         assert cycles == [[1, -1, 1]]

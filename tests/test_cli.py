@@ -243,6 +243,47 @@ class TestConformal:
         assert abs(fi - 0.25) < 1e-10
 
 
+class TestBadNumbers:
+    """Non-finite and overflowing input, and cutoffs or runs too large to
+    finish, end with a typed message and exit 2 (1 for a malformed option),
+    never in a traceback or a NaN payload."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["eisenstein", "--s", "2", "--tau", "nan+1i"], 2, "DomainError: tau must be finite"),
+        (["eisenstein", "--s", "2", "--tau", "0.1+1e-300i"], 2, "DomainError: |q| must be < 1"),
+        (["eisenstein", "--s", "nan", "--tau", "2i"], 2, "DomainError: s must be finite"),
+        (["eisenstein", "--s", "inf", "--tau", "0.1+1.1i", "--both-methods"], 2,
+         "DomainError: s must be finite"),
+        (["amplitude", "--aps", "inf", "--apt", "0.2"], 2, "DomainError: alpha' s t u"),
+        (["amplitude", "--aps", "1e300", "--apt", "0.2"], 2, "DomainError: alpha' s t u"),
+        (["amplitude", "--aps", "nan", "--apt", "0.1", "--N", "5"], 2,
+         "DomainError: alpha' s t u"),
+        *[(["conformal", "--cp", "cp2", f"--{name}", value], 2, "DomainError: rho and eta must")
+          for name in ("rho", "eta") for value in ("inf", "nan")],
+        *[(["conformal", "--cp", "cp2", f"--{name}", "1e300"], 2, "DomainError: the residual")
+          for name in ("rho", "eta")],
+        (["graphd", "--mult", "nan,1,0,1,0,0", "--tau", "0.1+1.1i"], 1,
+         "usage error: cannot parse integer multiplicities"),
+        (["flow", "--init", "1,2,3", "--t0", "1", "--t1", "1e300"], 2,
+         "NotConverged: step budget of 100000 spent at t = "),
+        (["solve", "--init", "1e300,2,3", "--t0", "1", "--t1", "2"], 2,
+         "StepUnderflow: first step is 0"),
+        (["dsum", "--n", "2", "--tau", "2i", "--cutoff", "100000"], 2,
+         "CutoffTooLarge: the momentum grid at R = 100000 would build an array of up to 149 GiB"),
+        (["graphd", "--mult", "1,1,1,1,1,0", "--tau", "2i", "--cutoff", "2000"], 2,
+         "CutoffTooLarge: the two-loop convolution at R = 2000"),
+        (["dsum", "--n", "4", "--tau", "2i", "--cutoff", "3000"], 2,
+         "CutoffTooLarge: the D_4 transform at R = 3000"),
+        (["eisenstein", "--method", "lattice", "--s", "2", "--tau", "2i", "--cutoff", "100000"],
+         2, "CutoffTooLarge: the lattice sum at R = 100000"),
+    ])
+    def test_typed_failure(self, capsys, argv, code, message):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestOutputs:
     def test_out_file_and_determinism(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

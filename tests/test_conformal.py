@@ -256,6 +256,18 @@ class TestCpPotentials:
         with pytest.raises(DomainError, match="positive"):
             cp_harmonic_check(cp_f_cp2(), 1.0, 0.2, h)
 
+    @pytest.mark.parametrize("rho, eta", [(math.inf, 0.2), (math.nan, 0.2), (1.0, math.inf),
+                                          (1.0, math.nan)])
+    def test_nonfinite_point(self, rho, eta):
+        with pytest.raises(DomainError, match="rho and eta must be finite"):
+            cp_harmonic_check(cp_f_cp2(), rho, eta, 1e-3)
+
+    @pytest.mark.parametrize("rho, eta", [(1e300, 0.2), (1.0, 1e300)])
+    def test_overflowing_residual(self, rho, eta):
+        # rho^2 overflowed to inf and met a zero second difference: NaN
+        with pytest.raises(DomainError, match="overflows"):
+            cp_harmonic_check(cp_f_cp2(), rho, eta, 1e-3)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             cp_f_cp2()(-1.0, 0.0)

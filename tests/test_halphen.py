@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from halphen_lab import halphen as H
-from halphen_lab.errors import DomainError, StepTooLarge, StepUnderflow
+from halphen_lab.errors import DomainError, NotConverged, StepTooLarge, StepUnderflow
 from halphen_lab.halphen import (
     ChazyData,
     ModularTriplet,
@@ -118,6 +118,23 @@ class TestIntegrate:
         # T_end = NaN integrated backwards and stopped at a root at T = 0.83
         with pytest.raises(DomainError, match="must be finite"):
             integrate("dh", RealTriAxial((1.0, 2.0, 3.0), T0), T_end)
+
+    def test_step_budget(self, monkeypatch):
+        # a run without a finite-time pole that grows without bound crawled
+        # for minutes (4.6 million RHS calls in 8 s) with the blowup stop off
+        init = RealTriAxial((0.5130535765347357, -2.7246622455318072, -2.8132098709847924),
+                            1.5940486882264957)
+        monkeypatch.setattr(H, "MAX_STEPS", 2000)
+        budget = r"budget of 2000 spent at t = 1\.95\d*, short of 6\.797"
+        with pytest.raises(NotConverged, match=budget):
+            integrate("dh", init, 6.797139938788122, tol=1e-6,
+                      stop_on_root=False, stop_on_blowup=False)
+
+    def test_overflowing_rhs_is_step_underflow(self):
+        # the scaled RHS overflowed, so the first step was 0 and the
+        # initial-step rule divided by it
+        with pytest.raises(StepUnderflow, match="first step is 0"):
+            integrate("dh", RealTriAxial((1e300, 2.0, 3.0), 1.0), 2.0)
 
     def test_trajectory_serialization(self):
         traj = integrate("dh", RealTriAxial((1.0, 2.0, 3.0), 1.0), 2.0)
@@ -597,6 +614,43 @@ class TestSL2:
             assert abs(rhs[i] - fd) < 1e-8
         with pytest.raises(DomainError):
             sl2_generate_real(iso, 1.0, 0.0, 0.0, -1.0)
+
+
+class TestTransportOracle:
+    """The SL(2,R) transport of the real closed form is an exact
+    Darboux-Halphen trajectory, so it checks `integrate` at every sample.
+
+    The runs stop short of the singular ends of the moved argument
+    Mt = (At+B)/(Ct+D), Mt -> 0 and Ct + D -> 0, near which the error
+    relative to max(1, |Omega|) grows with |Omega|.  None lowers Mt from a
+    value of a few or more towards 1: there the components differ by about
+    e^(-pi Mt) relative, rounding the initial data perturbs that difference,
+    and a falling Mt amplifies the perturbation.  Neither error comes from
+    the integrator."""
+
+    # Mt crosses 1, where the closed form switches to its reflection, on the
+    # forward run of (1, -0.5, 0.3, 0.9) and the backward run of (2, 1, 1, 3)
+    CASES = [  # (A, B, C, D), t0, t1, how the run ends
+        ((2.0, 1.0, 1.0, 3.0), 1.0, 3.0, "root_crossing"),
+        ((2.0, 1.0, 1.0, 3.0), 3.0, 0.5, "root_crossing"),
+        ((1.0, 0.0, 0.5, 1.0), 1.0, 3.0, "root_crossing"),
+        ((1.0, 0.0, 0.5, 1.0), 3.0, 0.5, "root_crossing"),
+        ((1.0, -0.5, 0.3, 0.9), 1.0, 3.0, "root_crossing"),
+        ((1.0, -0.5, 0.3, 0.9), 3.0, 0.5, "root_crossing"),
+        ((3.0, 1.0, -0.2, 0.3), 1.0, 1.45, "completed"),
+        ((3.0, 1.0, -0.2, 0.3), 1.45, 0.5, "completed"),
+    ]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-11])
+    @pytest.mark.parametrize("M, t0, t1, reason", CASES)
+    def test_integrator_follows_the_transport(self, M, t0, t1, reason, tol):
+        exact = sl2_generate_real(halphen_closed_form_real, *M)
+        traj = integrate("dh", exact(t0), t1, tol=tol)
+        assert traj.reason == reason
+        for T, Om in zip(traj.T.tolist(), traj.Omega.tolist()):
+            ref = exact(T).Omega
+            err = max(abs(a - b) for a, b in zip(Om, ref)) / max(1.0, *map(abs, ref))
+            assert err <= 4 * tol, (T, err / tol)
 
 
 class TestSchwarz:

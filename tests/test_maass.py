@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from halphen_lab.errors import DivergentParameter, DomainError, PoleAtS, StepTooLarge
+from halphen_lab.errors import (
+    CutoffTooLarge, DivergentParameter, DomainError, PoleAtS, StepTooLarge
+)
 from halphen_lab.maass import (
     LatticeSumSpec,
     _besselk,
@@ -196,6 +198,19 @@ class TestLattice:
     def test_divergent_s(self):
         with pytest.raises(DivergentParameter):
             eisenstein_lattice(1.0, 1j)
+
+    @pytest.mark.parametrize("evaluate", [eisenstein_lattice, eisenstein_fourier])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_s(self, evaluate, s):
+        with pytest.raises(DomainError, match="s must be finite"):
+            evaluate(s, 2j)
+
+    def test_cutoff_above_the_array_budget(self):
+        # R = 100000 asked numpy for 58.5 GiB before the |p| <= R cut
+        with pytest.raises(CutoffTooLarge, match="149 GiB"):
+            lattice_points(2j, 100000)
+        with pytest.raises(CutoffTooLarge):
+            eisenstein_lattice(2.0, 2j, LatticeSumSpec(R=math.inf))
 
     @pytest.mark.parametrize("tau,R", _LATTICE_CASES)
     def test_half_lattice_holds_one_of_each_pair(self, tau, R):

@@ -19,6 +19,7 @@ from halphen_lab.modforms import (
     theta_char,
     theta_char_vderiv,
     theta4_e2,
+    weight2_transport,
 )
 
 
@@ -34,6 +35,18 @@ class TestModularPoint:
     def test_nome_modulus(self):
         p = ModularPoint(0.3 + 1.1j)
         assert abs(p.q) == pytest.approx(math.exp(-2 * math.pi * 1.1), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "tau", [complex(math.nan, 1), complex(0.2, math.inf), complex(math.inf, 1)]
+    )
+    def test_rejects_nonfinite(self, tau):
+        with pytest.raises(DomainError, match="tau must be finite with Im"):
+            ModularPoint(tau)
+
+    def test_rejects_a_nome_that_rounds_to_one(self):
+        # Im(tau) = 1e-300 gives |q| = 1 in binary64
+        with pytest.raises(DomainError, match="must be < 1"):
+            ModularPoint(0.1 + 1e-300j)
 
 
 class TestDedekindEta:
@@ -228,3 +241,51 @@ class TestMoebius:
     def test_pole(self):
         with pytest.raises(PoleHit):
             apply_moebius(Moebius(1, 0, 1, -1j), 1j)
+        with pytest.raises(PoleHit):
+            Moebius(2, 1, 1, 3)(-3.0)
+
+    def test_call_returns_image_and_automorphy_factor(self):
+        M = Moebius(2, 1, 1, 3)
+        z = 0.3 + 0.8j
+        mz, j = M(z)
+        assert j == M.c * z + M.d
+        assert mz == (M.a * z + M.b) / j
+        assert apply_moebius(M, z).tau == mz
+
+    def test_real_matrix_stays_real(self):
+        # det > 0 is normalized by a real square root, so a real point maps
+        # to a real point; det < 0 needs an imaginary one
+        M = Moebius(2.0, 1.0, 1.0, 3.0)
+        assert all(type(x) is float for x in (M.a, M.b, M.c, M.d))
+        mz, j = M(1.5)
+        assert type(mz) is float and type(j) is float
+        assert M.a * M.d - M.b * M.c == pytest.approx(1, abs=1e-15)
+        N = Moebius(1.0, 0.0, 0.0, -1.0)
+        assert isinstance(N.a, complex)
+        assert N.a * N.d - N.b * N.c == pytest.approx(1, abs=1e-15)
+
+
+class TestWeight2Transport:
+    @pytest.mark.parametrize("M", [(1, 2, 0, 1), (1, 0, 2, 1), (1, -2, 2, -3)])
+    def test_gamma2_fixes_the_halphen_solution_and_its_triplet(self, M):
+        # Gamma(2) fixes the Halphen solution under the shifted law (s = 1)
+        # and its theta^4 triplet under the plain weight-2 law (s = 0)
+        from halphen_lab.halphen import halphen_closed_form, halphen_triplet
+
+        def triplet(z):
+            t = halphen_triplet(z)
+            return t.E1, t.E2, t.E3
+
+        omega = lambda z: halphen_closed_form(z).omega
+        z = 0.13 + 1.2j
+        for w, s in ((omega, 1), (triplet, 0)):
+            got, ref = weight2_transport(w, Moebius(*M), s)(z), w(z)
+            assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12 * max(map(abs, ref))
+
+    def test_constant_solution_family(self):
+        # Omega = 1/T solves Darboux-Halphen; its transport is 1/(T - T0)
+        # with T0 = -B/A, the pole where the moved argument vanishes
+        A, B, C, D = 2.0, 1.0, 1.0, 3.0
+        M = Moebius(A, B, C, D)
+        got = weight2_transport(lambda t: (1 / t,) * 3, M)(1.7)
+        assert got == pytest.approx((1 / (1.7 + B / A),) * 3, rel=1e-14)
