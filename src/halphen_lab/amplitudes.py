@@ -90,7 +90,18 @@ class Mandelstam:
 def _gamma_safe(x: float) -> float:
     if x <= 0 and abs(x - round(x)) < 1e-9:
         raise PoleHit(f"Gamma({x}) is at or near a pole")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"Gamma({x}) overflows a float")
+
+
+def _finite_amplitude(value: float, k: Mandelstam) -> float:
+    """value, unless the amplitude at k overflows a float (DomainError)."""
+    if math.isfinite(value):
+        return value
+    s, t, _ = k.xs
+    raise DomainError(f"the amplitude at alpha' s = {s}, alpha' t = {t} overflows a float")
 
 
 def tree_amplitude_gamma(k: Mandelstam) -> float:
@@ -100,12 +111,13 @@ def tree_amplitude_gamma(k: Mandelstam) -> float:
     pref = xs[0] * xs[1] * xs[2]
     if pref == 0:
         raise KinematicsDegenerate("s t u = 0: pole prefactor is singular")
-    num = 1.0
-    den = 1.0
+    num = den = 1.0
     for x in xs:
         num *= _gamma_safe(1 + x)
         den *= _gamma_safe(1 - x)
-    return num / (pref * den)
+    # pref * den underflows to 0 only where the amplitude overflows
+    scale = pref * den
+    return _finite_amplitude(num / scale if scale else math.inf, k)
 
 
 def sigma_n(k: Mandelstam, n: int) -> float:
@@ -122,19 +134,15 @@ def sigma_recursion_check(k: Mandelstam, n: int) -> float:
     s3 = sigma_n(k, 3) / 3
     total = 0.0
     for p in range(n // 2 + 1):
-        rem = n - 2 * p
-        if rem % 3 or rem < 0:
+        q, rem = divmod(n - 2 * p, 3)
+        if rem or p == q == 0:
             continue
-        q = rem // 3
-        if p == q == 0:
-            continue
-        total += (
-            math.factorial(p + q - 1)
-            / (math.factorial(p) * math.factorial(q))
-            * s2**p
-            * s3**q
-        )
+        total += (math.factorial(p + q - 1) / (math.factorial(p) * math.factorial(q))
+                  * s2**p * s3**q)
     return abs(sigma_n(k, n) - n * total)
+
+
+MAX_TERMS = 10**5  # the most exponent terms tree_amplitude_series takes
 
 
 @functools.cache
@@ -152,6 +160,10 @@ def tree_amplitude_series(k: Mandelstam, N: int, tol: float = 1e-12) -> float:
     with only odd power sums in the exponent (the even ones cancel
     between Gamma(1+x) and Gamma(1-x)).  NotConverged when the last
     retained exponent term still exceeds tol.
+
+    It stops once every (a'x)^(2n+1) has underflowed to 0, as all later
+    terms then have; where they never do (|a'x| near 1), N above
+    MAX_TERMS raises NotConverged.
     """
     xs = k.xs
     if max(abs(x) for x in xs) >= 1:
@@ -159,16 +171,21 @@ def tree_amplitude_series(k: Mandelstam, N: int, tol: float = 1e-12) -> float:
     pref = xs[0] * xs[1] * xs[2]
     if pref == 0:
         raise KinematicsDegenerate("s t u = 0: pole prefactor is singular")
-    expo = 0.0
-    last = 0.0
-    for n in range(1, N + 1):
-        last = _zeta_coef(n) * sigma_n(k, 2 * n + 1)
+    expo = last = 0.0
+    for n in range(1, min(N, MAX_TERMS) + 1):
+        powers = [x ** (2 * n + 1) for x in xs]
+        if not any(powers):
+            last = 0.0
+            break
+        # riemann_zeta is exactly 1.0 from 55 on: no cache entry per n there
+        last = (_zeta_coef(n) if 2 * n + 1 < 55 else 2 / (2 * n + 1)) * sum(powers)
         expo -= last
+    else:
+        if N > MAX_TERMS:
+            raise NotConverged(f"term budget of {MAX_TERMS} spent before the terms underflowed")
     if N > 0 and abs(last) > tol:
-        raise NotConverged(
-            f"last exponent term {last:.3e} above tol = {tol}; increase N"
-        )
-    return math.exp(expo) / pref
+        raise NotConverged(f"last exponent term {last:.3e} above tol = {tol}; increase N")
+    return _finite_amplitude(math.exp(expo) / pref, k)
 
 
 def dimension_dn(n: int) -> int:
@@ -222,22 +239,16 @@ def _weight_grid(tau: complex, R: int):
     p = m + n tau, as an (R+1) x (2R+1) array: row m = 0..R, column
     n + R for n = -R..R.
 
-    W(-p) = W(p), so the rows m < 0 are redundant (`_full_grid` restores
-    them).  |p|^2 = (m + n x)^2 + (n y)^2 is formed from real parts: a
-    complex p and np.abs would take a square root only to square it
-    again.  The origin's |p|^2 is inf, so W(0) = 0 exactly.
+    W(-p) = W(p), so the rows m < 0 are redundant.  |p|^2 =
+    (m + n x)^2 + (n y)^2 is formed from real parts: a complex p and
+    np.abs would take a square root only to square it again.  The
+    origin's |p|^2 is inf, so W(0) = 0 exactly.
     """
     m = np.arange(R + 1.0)[:, None]
     n = np.arange(-R, R + 1.0)
     p2 = (m + n * tau.real) ** 2 + (n * tau.imag) ** 2
     p2[0, R] = math.inf
     return tau.imag / (4 * math.pi * p2)
-
-
-def _full_grid(Wh):
-    """The (2R+1)^2 grid m, n = -R..R, origin at the centre, from the half
-    grid of `_weight_grid`: row -m is row m reversed, W(-p) = W(p)."""
-    return np.concatenate([Wh[:0:-1, ::-1], Wh])
 
 
 def _half_sum(A) -> float:
@@ -258,20 +269,36 @@ def _next_5_smooth(n: int) -> int:
         n += 1
 
 
-def _convolve(A, B):
-    """Linear 2-D convolution of A and B by real FFT, for graph_D's
-    two-loop sums.
+def _half_transform(A, L: int):
+    """A_hat(k) = sum_p A(p) e^(-2 pi i p.k / L) on an L x L torus, for A
+    even in p and given by its rows m >= 0 as `_weight_grid` builds them,
+    (R+1) x (2R+1) with 2R < L.  A_hat is real and even: an rfft along n,
+    rephased to centre p = 0, then a Hermitian FFT along m (rows m < 0 are
+    the conjugates of rows m > 0) give its columns k_n = 0 .. L/2, an
+    L x (L//2 + 1) array.
 
-    Each axis is zero-padded to the next 5-smooth length (2^a 3^b 5^c) at
-    or above the output length: the exact length 4R+1 can be prime
-    (R = 60 gives 241), where an unpadded transform is ten times slower,
-    and the next power of two can be half again as long (R = 20 pads to
-    81, not 128).
+    Parseval: for even A_1 .. A_j on boxes whose half-widths add up to
+    less than L, no sum of box momenta wraps to 0 mod L, so
+
+        sum_k A_hat_1(k) ... A_hat_j(k) / L^2
+            = sum over p_1 + ... + p_j = 0 of A_1(p_1) ... A_j(p_j),
+
+    momentum conserved and every p_i uncut in its own box.  `_torus_sum`
+    takes the sum over k.
     """
-    shape = [a + b - 1 for a, b in zip(A.shape, B.shape)]
-    fshape = [_next_5_smooth(n) for n in shape]
-    out = np.fft.irfft2(np.fft.rfft2(A, fshape) * np.fft.rfft2(B, fshape), fshape)
-    return out[: shape[0], : shape[1]]
+    R = A.shape[0] - 1
+    centre = np.exp(2j * math.pi * R / L * np.arange(L // 2 + 1))
+    return np.fft.hfft(np.fft.rfft(A, L, axis=1) * centre, L, axis=0)
+
+
+def _torus_sum(P) -> float:
+    """sum_k P(k) / L^2 over the L x L torus, for P even in k given by the
+    columns k_n = 0 .. L/2 of `_half_transform`: columns 0 and, for even L,
+    L/2 are their own mirror images, and every other column counts twice."""
+    L = P.shape[0]
+    cols = P.sum(axis=0)
+    mid = (L + 1) // 2
+    return float(cols[0] + 2 * cols[1:mid].sum() + cols[mid:].sum()) / (L * L)
 
 
 def genus_one_propagator_momentum(
@@ -322,20 +349,11 @@ def kronecker_eisenstein_Dn(
     """D_n = sum over p_1 + ... + p_n = 0 (all p_i != 0) of
     prod tau_2 / (4 pi |p_i|^2), every p_i in the (2R+1)^2 box.
 
-    D_2 is sum W^2 over the weight grid.  D_3 and D_4 use Parseval on one
-    forward transform: with W_hat(k) = sum_p W(p) e^(-2 pi i p.k / L) over
-    an L x L torus,
-
-        D_n = sum_k W_hat(k)^n / L^2,
-
-    exact as long as no sum p_1 + ... + p_n of box momenta wraps to 0 mod
-    L, i.e. L > nR.  L is the next 5-smooth length (2^a 3^b 5^c) at or
-    above nR + 1, where numpy's FFT is fast.  W(-p) = W(p) makes W_hat
-    real and even, so it comes from an rfft along n of the rows m >= 0
-    (rephased to centre p = 0) and a Hermitian FFT along m, whose rows
-    m < 0 are the conjugates of rows m > 0; the sum over the half axis
-    of the rfft counts each interior column twice.  n in {2, 3, 4} are
-    supported (higher n has no reduction to check and explodes in cost).
+    D_2 is sum W^2 over the weight grid.  D_3 and D_4 are Parseval sums
+    sum_k W_hat(k)^n / L^2 over one transform (`_half_transform`), exact
+    for L > nR; L is the next 5-smooth length (2^a 3^b 5^c) at or above
+    nR + 1, where numpy's FFT is fast.  n in {2, 3, 4} are supported
+    (higher n has no reduction to check and explodes in cost).
     """
     if n < 2:
         raise DivergentParameter("D_n needs n >= 2")
@@ -344,18 +362,13 @@ def kronecker_eisenstein_Dn(
     t = tau.tau
     R = _cutoff(spec.R)
     if n == 2:
-        W = _weight_grid(t, R)
-        value = _half_sum(W * W)
+        value = _half_sum(_weight_grid(t, R) ** 2)
     else:
         L = _next_5_smooth(n * R + 1)
         _check_array_size(L * (L // 2 + 1), 8, f"the D_{n} transform at R = {R}")
-        centre = np.exp(2j * math.pi * R / L * np.arange(L // 2 + 1))
-        W_hat = np.fft.hfft(np.fft.rfft(_weight_grid(t, R), L, axis=1) * centre, L, axis=0)
+        W_hat = _half_transform(_weight_grid(t, R), L)
         P = W_hat * W_hat
-        cols = (P * W_hat if n == 3 else P * P).sum(axis=0)
-        # columns 0 and, for even L, L/2 are their own mirror images
-        mid = (L + 1) // 2
-        value = float(cols[0] + 2 * cols[1:mid].sum() + cols[mid:].sum()) / (L * L)
+        value = _torus_sum(P * W_hat if n == 3 else P * P)
     return MaassValue(value=value, est_error=_dn_tail(n, t, R))
 
 
@@ -384,10 +397,7 @@ class GraphMultiplicities:
 
     def edges(self):
         """Expanded edge list [(i, j), ...] with repetition."""
-        out = []
-        for (i, j), mult in zip(self._EDGES, self.n):
-            out.extend([(i, j)] * mult)
-        return out
+        return [e for e, mult in zip(self._EDGES, self.n) for _ in range(mult)]
 
 
 def _fundamental_cycles(edges):
@@ -408,22 +418,16 @@ def _fundamental_cycles(edges):
             continue
         parent[root] = None
         order = [root]
-        qi = 0
-        while qi < len(order):
-            vtx = order[qi]
-            qi += 1
+        for vtx in order:  # breadth first: the loop visits what it appends
             for nb, idx, sgn in adj[vtx]:
                 if nb not in parent:
                     parent[nb] = (vtx, idx, sgn)
                     order.append(nb)
 
-    def path_to_root(v):
-        out = []
+    def path_to_root(v):  # (edge, sign into its vertex) up to v's root
         while parent[v] is not None:
-            pv, idx, sgn = parent[v]
-            out.append((idx, sgn))
-            v = pv
-        return out
+            v, idx, sgn = parent[v]
+            yield idx, sgn
 
     cycles = []
     tree = {parent[v][1] for v in parent if parent[v] is not None}
@@ -454,16 +458,13 @@ def graph_D(
     convention, make the whole sum vanish (flagged in `note`).  Banana
     topologies (all links between one pair) are D_n.  Otherwise edges
     with the same cycle vector (up to sign) carry the same momentum, so
-    a one-loop graph of weight k is sum_q W(q)^k, and a two-loop graph
-    with k1 edges on q1, k2 on q2 and k3 on q1 +- q2 is one FFT
-    convolution,
-
-        sum_s (W^k1 * W^k2)(s) W^k3(s).
-
-    The loop momenta q1, q2 run over the (2R+1)^2 box and the derived
-    momentum s over the full (4R+1)^2 grid, uncut.  With k3 = 0 (two
-    loops that are disjoint or meet at one vertex) the uncut sum over s
-    is exactly the product sum W^k1 * sum W^k2, taken with no FFT.
+    a one-loop graph of weight k is sum_q W(q)^k.  A two-loop graph with
+    k1 edges on q1, k2 on q2 and k3 on q1 +- q2 is the Parseval sum of
+    three transforms (`_half_transform`), of W^k1 and W^k2 on the
+    (2R+1)^2 box of q1 and q2 and of W^k3 on the (4R+1)^2 box that holds
+    every q1 +- q2 uncut, with L the next 5-smooth length >= 4R + 1.  With
+    k3 = 0 (loops that are disjoint or meet at one vertex) that sum is
+    exactly sum W^k1 * sum W^k2, taken with no FFT.
     Graphs with three or more loops, bananas aside, raise WeightTooLarge.
     """
     if mult.weight > 6:
@@ -472,17 +473,11 @@ def graph_D(
     edges = mult.edges()
     verts, cycles = _fundamental_cycles(edges)
 
-    # bridge detection: an edge outside every cycle carries zero momentum
-    forced_zero = [
-        i for i in range(len(edges)) if all(c[i] == 0 for c in cycles)
-    ]
-    if forced_zero:
-        return MaassValue(
-            value=0.0, est_error=0.0, note="zero-mode-excluded"
-        )
+    # a bridge, an edge outside every cycle, carries zero momentum
+    if any(all(c[i] == 0 for c in cycles) for i in range(len(edges))):
+        return MaassValue(value=0.0, est_error=0.0, note="zero-mode-excluded")
 
-    nonzero = [i for i, v in enumerate(mult.n) if v]
-    if len(nonzero) == 1:
+    if mult.n.count(0) == 5:
         return kronecker_eisenstein_Dn(mult.weight, tau, LatticeSumSpec(R=spec.R))
 
     loops = len(cycles)
@@ -504,11 +499,14 @@ def graph_D(
             W = _weight_grid(t, R)
             value = _half_sum(W**k1) * _half_sum(W**k2)
         else:
-            F = _next_5_smooth(4 * R + 1)
-            _check_array_size(F * F, 8, f"the two-loop convolution at R = {R}")
-            W2 = _full_grid(_weight_grid(t, 2 * R))
-            Wf = _full_grid(_weight_grid(t, R))
-            value = float(np.sum(_convolve(Wf**k1, Wf**k2) * W2**k3))
+            L = _next_5_smooth(4 * R + 1)
+            # the (4R+1)^2 box's transform holds its rfft, (2R+1) x (L/2+1)
+            # complex, and its output, L x (L/2+1) real: about L^2 floats
+            _check_array_size(L * L, 8, f"the two-loop convolution at R = {R}")
+            W = _weight_grid(t, R)
+            A = _half_transform(W**k1, L)
+            B = A if k2 == k1 else _half_transform(W**k2, L)
+            value = _torus_sum(A * B * _half_transform(_weight_grid(t, 2 * R) ** k3, L))
     return MaassValue(value=value, est_error=_dn_tail(mult.weight, t, R))
 
 
@@ -539,11 +537,8 @@ def decomposition_probe(
         A[i, 0] = 1.0
         A[i, 1] = eisenstein_fourier(n, mp.tau).value / four_pi_n
         for j, (r, s) in enumerate(pairs):
-            A[i, 2 + j] = (
-                eisenstein_fourier(r, mp.tau).value
-                * eisenstein_fourier(s, mp.tau).value
-                / four_pi_n
-            )
+            E_r, E_s = (eisenstein_fourier(w, mp.tau).value for w in (r, s))
+            A[i, 2 + j] = E_r * E_s / four_pi_n
     cond = np.linalg.cond(A)
     if cond > 1e10:
         raise FitIllConditioned(f"design matrix condition number {cond:.2e}")

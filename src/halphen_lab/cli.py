@@ -79,15 +79,6 @@ def _emit(payload, out_path, is_text=False):
             sys.stdout.write("\n")
 
 
-def _set_threads(args):
-    # Runs before any subcommand imports numpy, whose BLAS reads these
-    # variables once, at load; an explicit request overrides the shell's.
-    n = args.threads or os.environ.get("HALPHEN_LAB_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -341,8 +332,6 @@ def _cmd_conformal(args):
 
 def build_parser() -> _Parser:
     p = _Parser(prog="halphen-lab", description=__doc__)
-    p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help="cap internal parallelism (fallback: HALPHEN_LAB_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, tol=False):
@@ -441,7 +430,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _set_threads(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -216,7 +216,10 @@ def curvature_decomp(state, system: str) -> CurvatureDecomp:
     from the blocks of `_curvature_blocks`."""
     Om = _plain(state)
     _require_nondegenerate(Om)
-    s_phi, s_chi, a_phi, a_chi = _curvature_blocks(Om, *_flow_derivatives(system, Om))
+    try:
+        s_phi, s_chi, a_phi, a_chi = _curvature_blocks(Om, *_flow_derivatives(system, Om))
+    except OverflowError:
+        raise DomainError(f"the curvature at Omega = {Om} overflows a float")
     s = 4 * sum(s_phi)
     w = s / 6
     p1, p2, p3 = s_phi

@@ -132,8 +132,11 @@ def eisenstein_lattice(
     y = tau.imag
     p = lattice_points(tau, spec.R)
     # (y/|p|^2)^s underflows to 0 far out where |p|^(2s) alone would overflow
-    terms = (y / (p.real**2 + p.imag**2)) ** s
+    with np.errstate(over="ignore"):  # an overflowing term is caught below
+        terms = (y / (p.real**2 + p.imag**2)) ** s
     value = 2.0 * math.fsum(terms.tolist())
+    if value == math.inf:  # p = 1 adds y^s, so y ** (s - 1) cannot overflow alone
+        raise DomainError(f"E_s overflows a float at s = {s}, tau = {tau}")
     tail = 2 * math.pi * y ** (s - 1) * spec.R ** (2 - 2 * s) / (2 * s - 2)
     return MaassValue(value=value + tail, est_error=tail * 30.0 / spec.R**2)
 
@@ -263,7 +266,10 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     x, y = tau.real, tau.imag
     norm = 2 * riemann_zeta(2 * s)
     xi2s = completed_zeta(2 * s)
-    zero_modes = y**s + completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)
+    try:
+        zero_modes = y**s + completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)
+    except OverflowError:
+        zero_modes = math.inf
     total = complex(zero_modes)
     last_term = 0.0
     besselk = _besselk(s - 0.5, 2 * math.pi * np.arange(1, n_max + 1) * y)
@@ -284,7 +290,10 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
         last_term = abs(coef) * 2
     if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
         raise DomainError(f"Fourier sum has spurious imaginary part {total.imag}")
-    return MaassValue(value=float(norm * total.real), est_error=norm * last_term)
+    value = float(norm * total.real)
+    if not math.isfinite(value):
+        raise DomainError(f"E_s overflows a float at s = {s}, tau = {tau}")
+    return MaassValue(value=value, est_error=norm * last_term)
 
 
 def laplacian_eigencheck(s: float, tau, h: float, n_max: int = 40) -> float:

@@ -155,23 +155,28 @@ def dedekind_eta(tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
 _EIS_COEF = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
 
 
-def eisenstein_holo(k: int, tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
-    """Holomorphic Eisenstein series E_k, k in {2, 4, 6}, by Lambert series."""
-    if k not in _EIS_COEF:
-        raise DomainError(f"k must be one of 2, 4, 6, got {k}")
-    pt = _as_point(tau)
-    pt.require_qseries_domain()
-    q = pt.q
+def _lambert(k: int, q, trunc: QTruncation):
+    """E_k = 1 + c_k sum_{m>=1} m^(k-1) q^m / (1 - q^m), stopping at the
+    first term below trunc.tol * max(1, |partial|); TruncationNotReached
+    past trunc.max_terms.  A float q gives a float."""
     coef, power = _EIS_COEF[k]
-    total = 1.0 + 0j
-    qm = 1.0 + 0j
+    total = qm = 1.0
     for m in range(1, trunc.max_terms + 1):
         qm *= q
         term = coef * m**power * qm / (1 - qm)
         total += term
         if abs(term) < trunc.tol * max(1.0, abs(total)):
             return total
-    raise TruncationNotReached(f"eisenstein_holo(k={k}): max_terms exhausted")
+    raise TruncationNotReached(f"E{k} Lambert series: max_terms exhausted")
+
+
+def eisenstein_holo(k: int, tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
+    """Holomorphic Eisenstein series E_k, k in {2, 4, 6}, by Lambert series."""
+    if k not in _EIS_COEF:
+        raise DomainError(f"k must be one of 2, 4, 6, got {k}")
+    pt = _as_point(tau)
+    pt.require_qseries_domain()
+    return _lambert(k, pt.q, trunc)
 
 
 _CLASSICAL_CHARS = {
@@ -248,10 +253,9 @@ def theta4_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
     three theta sums share one set of products and no exponential is taken
     per term.  The same code runs on a float nome (tau = iS on the
     imaginary axis, p = e^(-pi S)) in real arithmetic and on a complex one.
-    The theta sums stop at the first p^(n^2) below trunc.tol, the E2 sum at
-    the first term below trunc.tol * max(1, |partial|) as in
-    :func:`eisenstein_holo`; either running past trunc.max_terms raises
-    TruncationNotReached.
+    The theta sums stop at the first p^(n^2) below trunc.tol, and E2 is the
+    Lambert series of :func:`eisenstein_holo`; either running past
+    trunc.max_terms raises TruncationNotReached.
     """
     tol = trunc.tol
     s = alt = b_sum = 0.0  # sum p^(n^2), sum (-1)^n p^(n^2), sum p^(n(n+1)), n >= 1
@@ -274,17 +278,7 @@ def theta4_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
     t2 = 2 * p4 * (1 + b_sum)
     t3 = 1 + 2 * s
     t4 = 1 + 2 * alt
-    q = p * p
-    e2 = 1.0
-    qm = 1.0
-    for m in range(1, trunc.max_terms + 1):
-        qm *= q
-        term = -24 * m * qm / (1 - qm)
-        e2 += term
-        if abs(term) < tol * max(1.0, abs(e2)):
-            break
-    else:
-        raise TruncationNotReached("theta4_e2: E2 sum exhausted max_terms")
+    e2 = _lambert(2, p * p, trunc)
     t2 *= t2
     t3 *= t3
     t4 *= t4

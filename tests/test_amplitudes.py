@@ -8,12 +8,12 @@ import pytest
 from scipy.special import zeta
 
 from halphen_lab.amplitudes import (
+    MAX_TERMS,
     GraphMultiplicities,
     Mandelstam,
-    _convolve,
-    _full_grid,
     _fundamental_cycles,
     _weight_grid,
+    _zeta_coef,
     decomposition_probe,
     dimension_dn,
     genus_one_propagator,
@@ -114,6 +114,28 @@ class TestTreeAmplitude:
                 expo -= 2 * riemann_zeta(2 * n + 1) / (2 * n + 1) * sigma_n(k, 2 * n + 1)
             xs = k.xs
             assert tree_amplitude_series(k, N) == math.exp(expo) / (xs[0] * xs[1] * xs[2])
+
+    def test_series_stops_once_the_terms_underflow(self):
+        # 0.3^(2n+1) underflows near n = 310: every later term is 0, so N
+        # past it changes neither the value nor the work, and the odd zetas
+        # are cached only below 2n+1 = 55, where riemann_zeta reaches 1.0
+        k = Mandelstam(0.1, 0.2)
+        assert tree_amplitude_series(k, 10**8) == tree_amplitude_series(k, 400)
+        assert _zeta_coef.cache_info().currsize <= 26
+
+    def test_series_term_budget(self):
+        # |alpha' s| near 1: the terms never underflow
+        k = Mandelstam(0.999, -0.0005)
+        tree_amplitude_series(k, MAX_TERMS, tol=math.inf)
+        with pytest.raises(NotConverged, match=f"term budget of {MAX_TERMS}"):
+            tree_amplitude_series(k, MAX_TERMS + 1, tol=math.inf)
+
+    @pytest.mark.parametrize("s, t", [(1e-120, 1e-100), (-1e-120, 1e-100)])
+    def test_amplitude_overflow(self, s, t):
+        # alpha'^3 stu is subnormal, and 1 / stu overflows
+        for form in (tree_amplitude_gamma, lambda k: tree_amplitude_series(k, 20)):
+            with pytest.raises(DomainError, match="overflows a float"):
+                form(Mandelstam(s, t))
 
 
 class TestSigma:
@@ -233,9 +255,11 @@ class TestWeightGrid:
     @_GRID_R
     @_GRID_TAU
     def test_full_grid_mirrors_half(self, tau, R):
-        W = _full_grid(_weight_grid(tau, R))
+        # row -m is row m reversed: the even extension the transforms assume
+        Wh = _weight_grid(tau, R)
+        W = np.concatenate([Wh[:0:-1, ::-1], Wh])
         np.testing.assert_allclose(W, _meshgrid_weight_grid(tau, R), rtol=2e-15, atol=0)
-        assert np.array_equal(W, W[::-1, ::-1])  # W(-p) == W(p) exactly
+        assert np.array_equal(W, W[::-1, ::-1])  # W(-p) == W(p) exactly, row m = 0 too
 
     @_GRID_R
     @_GRID_TAU
@@ -372,32 +396,34 @@ class TestGraphD:
                         assert inflow == 0, (mult, c, v)
 
     def test_fft_reduction_matches_enumeration(self):
-        # every multiplicity vector of weight <= 6 at a generic tau
+        # every multiplicity vector of weight <= 6 at a generic tau, at an
+        # odd torus length (R = 3, L = 15) and at an even one (R = 4,
+        # L = 18), whose column L/2 is its own mirror image
         tau = ModularPoint(0.3 + 1.1j)
-        R = 3
-        spec = LatticeSumSpec(R=R)
-        summed = 0
-        for w in range(1, 7):
-            for mult in itertools.product(range(w + 1), repeat=6):
-                if sum(mult) != w:
-                    continue
-                _, cycles = _fundamental_cycles(GraphMultiplicities(mult).edges())
-                bridged = any(all(c[i] == 0 for c in cycles) for i in range(w))
-                banana = sum(1 for v in mult if v) == 1
-                if bridged:
-                    g = graph_D(GraphMultiplicities(mult), tau, spec)
-                    assert g.value == 0.0 and g.note == "zero-mode-excluded"
-                elif banana:
-                    continue  # delegated to D_n, see test_banana_matches_dn
-                elif len(cycles) > 2:
-                    with pytest.raises(WeightTooLarge):
-                        graph_D(GraphMultiplicities(mult), tau, spec)
-                else:
-                    g = graph_D(GraphMultiplicities(mult), tau, spec)
-                    ref = _enumerated_graph_sum(mult, tau.tau, R)
-                    assert g.value == pytest.approx(ref, rel=1e-12, abs=0), mult
-                    summed += 1
-        assert summed == 64  # 7 one-loop and 57 two-loop graphs
+        for R in (3, 4):
+            spec = LatticeSumSpec(R=R)
+            summed = 0
+            for w in range(1, 7):
+                for mult in itertools.product(range(w + 1), repeat=6):
+                    if sum(mult) != w:
+                        continue
+                    _, cycles = _fundamental_cycles(GraphMultiplicities(mult).edges())
+                    bridged = any(all(c[i] == 0 for c in cycles) for i in range(w))
+                    banana = sum(1 for v in mult if v) == 1
+                    if bridged:
+                        g = graph_D(GraphMultiplicities(mult), tau, spec)
+                        assert g.value == 0.0 and g.note == "zero-mode-excluded"
+                    elif banana:
+                        continue  # delegated to D_n, see test_banana_matches_dn
+                    elif len(cycles) > 2:
+                        with pytest.raises(WeightTooLarge):
+                            graph_D(GraphMultiplicities(mult), tau, spec)
+                    else:
+                        g = graph_D(GraphMultiplicities(mult), tau, spec)
+                        ref = _enumerated_graph_sum(mult, tau.tau, R)
+                        assert g.value == pytest.approx(ref, rel=1e-12, abs=0), mult
+                        summed += 1
+            assert summed == 64  # 7 one-loop and 57 two-loop graphs
 
     def test_banana_matches_dn(self):
         tau = ModularPoint(1.1j)
@@ -439,7 +465,10 @@ class TestGraphD:
         d2 = kronecker_eisenstein_Dn(2, tau, spec)
         assert g.value == pytest.approx(d2.value**2, rel=1e-12, abs=0)
         W2 = _meshgrid_weight_grid(tau.tau, R) ** 2
-        assert g.value == pytest.approx(float(np.sum(_convolve(W2, W2))), rel=1e-13, abs=0)
+        # reference: the full linear convolution by zero-padded FFT
+        shape = (4 * R + 1, 4 * R + 1)
+        conv = np.fft.irfft2(np.fft.rfft2(W2, shape) ** 2, shape)
+        assert g.value == pytest.approx(float(np.sum(conv)), rel=1e-13, abs=0)
 
     def test_non_integral_cutoff_rejected(self):
         tau = ModularPoint(1.1j)
