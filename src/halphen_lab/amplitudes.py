@@ -338,7 +338,18 @@ def _dn_tail(n: int, tau: complex, R: int) -> float:
     # sum over |p| > R of 1/|p|^4 ~ 2 pi R^{-2} / t2 (continuum estimate)
     far = 2 * math.pi / (t2 * R**2)
     near = 8.0 * base  # bounded by a few small-|p| terms of the (n-2)-fold sum
-    return float(base**2 * far * max(1.0, near) ** max(0, n - 2))
+    try:
+        return float(base**2 * far * max(1.0, near) ** max(0, n - 2))
+    except OverflowError:  # at a huge Im(tau); `_finite_sum` reports it
+        return math.inf
+
+
+def _finite_sum(value: float, est_error: float, what: str, tau: complex) -> MaassValue:
+    """The momentum sum `what` at tau with its bar, unless either overflows a
+    float (DomainError): the one check of D_n and graph_D."""
+    if not (math.isfinite(value) and math.isfinite(est_error)):
+        raise DomainError(f"{what} at tau = {tau} overflows a float")
+    return MaassValue(value=value, est_error=est_error)
 
 
 def kronecker_eisenstein_Dn(
@@ -369,7 +380,7 @@ def kronecker_eisenstein_Dn(
         W_hat = _half_transform(_weight_grid(t, R), L)
         P = W_hat * W_hat
         value = _torus_sum(P * W_hat if n == 3 else P * P)
-    return MaassValue(value=value, est_error=_dn_tail(n, t, R))
+    return _finite_sum(value, _dn_tail(n, t, R), f"D_{n}", t)
 
 
 @dataclass(frozen=True)
@@ -507,7 +518,7 @@ def graph_D(
             A = _half_transform(W**k1, L)
             B = A if k2 == k1 else _half_transform(W**k2, L)
             value = _torus_sum(A * B * _half_transform(_weight_grid(t, 2 * R) ** k3, L))
-    return MaassValue(value=value, est_error=_dn_tail(mult.weight, t, R))
+    return _finite_sum(value, _dn_tail(mult.weight, t, R), f"the graph sum {mult.n}", t)
 
 
 def decomposition_probe(

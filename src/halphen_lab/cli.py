@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .errors import HalphenLabError, dump_json
+from .errors import DomainError, HalphenLabError, dump_json
 from .modforms import ModularPoint, QTruncation, ThetaChar
 
 
@@ -146,6 +146,10 @@ def _cmd_curvature(args):
         }
         for T, d in zip(traj.T, decs)
     ]
+    for row in rows:
+        # the curvature products overflow to inf without raising
+        if not all(map(math.isfinite, row.values())):
+            raise DomainError(f"the curvature at T = {row['T']} overflows a float")
     report = {
         "system": system,
         "samples": rows,

@@ -34,13 +34,12 @@ from .errors import (
     ThetaZeroDivision,
 )
 from .geometry import _curvature_blocks
-from .halphen import _CYC, _omega_ddot, dh_rhs, schwarz_lambda
+from .halphen import _CYC, _finite_triple, _fourth_powers, _halphen, _omega_ddot, _series
+from .halphen import _omega_dot as system_two_rhs, dh_rhs as system_one_rhs, schwarz_lambda
 from .modforms import (
     DEFAULT_TRUNC,
     QTruncation,
     ThetaChar,
-    eisenstein_holo,
-    theta,
     theta_char,
     theta_char_vderiv,
     weight2_transport,
@@ -77,14 +76,7 @@ class ConformalState:
 
     def __post_init__(self):
         for name in ("delta", "omega"):
-            vals = getattr(self, name)
-            if len(vals) != 3:
-                raise DomainError(f"{name} needs exactly 3 components")
-            vals = tuple(complex(v) for v in vals)
-            for v in vals:
-                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                    raise DomainError(f"{name} components must be finite")
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, _finite_triple(name, getattr(self, name), complex))
 
 
 @dataclass(frozen=True)
@@ -96,15 +88,6 @@ class WVars:
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(complex(v) for v in self.w))
-
-
-def system_one_rhs(delta):
-    return dh_rhs(delta)
-
-
-def system_two_rhs(omega, delta):
-    o, d = tuple(omega), tuple(delta)
-    return tuple(o[j] * o[k] - o[i] * (d[j] + d[k]) for i, j, k in _CYC)
 
 
 def systems_rhs(state: ConformalState):
@@ -134,7 +117,7 @@ def w_theta_solution(
     the family smooth in (a, b).
     """
     z = complex(z)
-    th2, th3, th4 = (theta(j, 0.0, z, trunc) for j in (2, 3, 4))
+    _, th2, th3, th4 = _series(z, trunc)
     denom = theta_char(ThetaChar(a, b), 0.0, z, trunc)
     if abs(denom) < 1e-12:
         raise ThetaZeroDivision(f"theta[{a};{b}](0|z) = {denom} below tolerance")
@@ -142,6 +125,7 @@ def w_theta_solution(
     d1 = theta_char_vderiv(ThetaChar(a + 1, b), 0.0, z, trunc)
     d2 = theta_char_vderiv(ThetaChar(a, b + 1), 0.0, z, trunc)
     d3 = theta_char_vderiv(ThetaChar(a + 1, b + 1), 0.0, z, trunc)
+    t2, t3, _ = _fourth_powers(th2, th3, th4)
     tp = 2 * cmath.pi
     return WVars(
         w=(
@@ -149,7 +133,7 @@ def w_theta_solution(
             phase * d2 / (tp * th3 * th4 * denom),
             -phase * d3 / (tp * th2 * th4 * denom),
         ),
-        lam=schwarz_lambda(z, trunc),
+        lam=t2 / t3,
     )
 
 
@@ -168,50 +152,43 @@ def ah_limit_solution(
     """
     z = complex(z)
     z0 = complex(z0)
-    th2, th3, th4 = (theta(j, 0.0, z, trunc) for j in (2, 3, 4))
+    e2, th2, th3, th4 = _series(z, trunc)
     if abs(z + z0) < 1e-12:
         raise PoleHit(f"z + z0 = {z + z0} below tolerance")
-    t2, t3, t4 = th2**4, th3**4, th4**4
-    e2 = eisenstein_holo(2, z, trunc)
+    o1, o2, o3 = _halphen(cmath.pi / 6, e2, th2, th3, th4)
+    t2, t3, _ = _fourth_powers(th2, th3, th4)
     pole = 1j / (z + z0)
-    p6 = cmath.pi / 6
     return WVars(
         w=(
-            -(pole - p6 * (e2 - t2 - t3)) / (cmath.pi * th2**2 * th3**2),
-            -1j * (pole - p6 * (e2 + t3 + t4)) / (cmath.pi * th3**2 * th4**2),
-            -1j * (pole - p6 * (e2 + t2 - t4)) / (cmath.pi * th2**2 * th4**2),
+            -(pole - o1) / (cmath.pi * th2**2 * th3**2),
+            -1j * (pole - o2) / (cmath.pi * th3**2 * th4**2),
+            -1j * (pole - o3) / (cmath.pi * th2**2 * th4**2),
         ),
-        lam=schwarz_lambda(z, trunc),
+        lam=t2 / t3,
     )
 
 
-def w_lambda_rhs(w, lam, margin: float = 0.05):
+def w_lambda_rhs(w, lam):
     """(dw1, dw2, dw3)/dlambda = (w2 w3/lambda, w3 w1/(lambda-1),
-    w1 w2/(lambda (lambda-1)))."""
+    w1 w2/(lambda (lambda-1))); SingularLambda within 0.05 of a branch point."""
     lam = complex(lam)
-    if min(abs(lam), abs(lam - 1)) < margin:
-        raise SingularLambda(f"lambda = {lam} within {margin} of a branch point")
+    if min(abs(lam), abs(lam - 1)) < 0.05:
+        raise SingularLambda(f"lambda = {lam} within 0.05 of a branch point")
     w1, w2, w3 = tuple(w)
     return (w2 * w3 / lam, w3 * w1 / (lam - 1), w1 * w2 / (lam * (lam - 1)))
 
 
-def w_lambda_system_residual(
-    w_of_z,
-    z: complex,
-    h: float,
-    trunc: QTruncation = DEFAULT_TRUNC,
-    margin: float = 0.05,
-):
+def w_lambda_system_residual(w_of_z, z: complex, h: float):
     """Residuals of the lambda-form of system II for a callable
     z -> WVars, using d w/d lambda = (d w/d z) / lambda'(z)."""
     z = complex(z)
     numdiff.check_step(h, z.imag / 10, "Im(z)/10")
-    lam = schwarz_lambda(z, trunc)
-    lam_prime = numdiff.deriv1(lambda t: schwarz_lambda(t, trunc), z, h)
+    lam = schwarz_lambda(z)
+    lam_prime = numdiff.deriv1(schwarz_lambda, z, h)
     if abs(lam_prime) < 1e-14:
         raise SingularLambda("lambda'(z) vanishes; lambda is not a coordinate here")
     w = w_of_z(z).w
-    rhs = w_lambda_rhs(w, lam, margin)
+    rhs = w_lambda_rhs(w, lam)
     res = []
     for i in range(3):
         dwdz = numdiff.deriv1(lambda t, i=i: w_of_z(t).w[i], z, h)

@@ -117,15 +117,16 @@ def flow_run(
     )
 
 
-def volume_rate_check(run: FlowRun, T: float | None = None, skip: int = 2) -> float:
+def volume_rate_check(run: FlowRun, T: float | None = None) -> float:
     """Relative residual of dV/dt + (1/2) V Rbar = 0.
 
     With `T` given, the residual at the interior sample closest to T;
     otherwise the maximum over the run.  The derivative is a centred
-    difference on the (non-uniform) flow-time grid, so the first/last
-    `skip` samples are excluded.
+    difference on the (non-uniform) flow-time grid, so the first and last
+    two samples are excluded.
     """
     t, V, R = run.t, run.volume, run.scalar
+    skip = 2
     if len(t) < 2 * skip + 3:
         raise InsufficientData("run too short for the rate check")
     if T is not None:
@@ -152,21 +153,19 @@ def volume_rate_check(run: FlowRun, T: float | None = None, skip: int = 2) -> fl
     return float(res)
 
 
-def attractor_check(
-    init: RealTriAxial,
-    T_probe: float = 50.0,
-    tol: float = 1e-10,
-) -> dict:
+def attractor_check(init: RealTriAxial) -> dict:
     """Late-time test of trapping by the isotropic attractor.
 
     Positive initial data stays positive and each T * Omega_i(T) tends
-    to 1.  Returns the worst deviation max_i |T Omega_i - 1| at T_probe.
+    to 1.  Integrates at tol 1e-10 to T_probe = 50 and returns the worst
+    deviation max_i |T_probe Omega_i - 1| there.
     """
+    T_probe = 50.0
     if min(init.Omega) <= 0:
         raise DomainError("attractor check needs positive initial data")
     if T_probe <= init.T:
         raise DomainError("T_probe must exceed the initial time")
-    traj = integrate("dh", init, T_probe, tol=tol, stop_on_root=True)
+    traj = integrate("dh", init, T_probe, tol=1e-10, stop_on_root=True)
     stayed_positive = bool(traj.reason != "root_crossing")
     if not stayed_positive:
         return {"stayed_positive": False, "deviation": math.inf, "traj": traj}

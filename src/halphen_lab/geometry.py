@@ -329,12 +329,9 @@ def _log_slope(x, y):
     return coef[0]
 
 
-def classify_endpoint(
-    traj: Trajectory,
-    end: str = "last",
-    window: int = 25,
-) -> EndpointClass:
-    """Classify the approached endpoint of an integrated trajectory.
+def classify_endpoint(traj: Trajectory, end: str = "last") -> EndpointClass:
+    """Classify the approached endpoint of an integrated trajectory from
+    its last (or, with end="first", its first) 25 samples.
 
     The frame coefficients f_i behave as powers of the remaining proper
     time delta-tau near a geometric endpoint.  The exponent ratios
@@ -349,18 +346,13 @@ def classify_endpoint(
     For a bolt the degree n = 2 df/dtau of the shrinking direction and
     the limiting radius of the other two are estimated as well.
     """
+    window = 25
     if len(traj.T) < window + 5:
         raise InsufficientData(
             f"need at least {window + 5} samples, got {len(traj.T)}"
         )
-    if end == "first":
-        T = traj.T[::-1]
-        Om = traj.Omega[::-1]
-    else:
-        T = traj.T
-        Om = traj.Omega
-    T = T[-window:]
-    Om = Om[-window:]
+    step = -1 if end == "first" else 1
+    T, Om = traj.T[::step][-window:], traj.Omega[::step][-window:]
 
     f = np.array([frame_coefficients(row) for row in Om.tolist()])
     logf = np.log(f)
@@ -390,18 +382,15 @@ def classify_endpoint(
     bolt_degree = None
     bolt_radius = None
 
-    if best == "taubian_infinity":
-        # proper time diverges; report the blowup location in T instead
-        tau_end = None
-    else:
+    # proper time diverges at a taubian infinity: T_end_est stays the last T
+    if best != "taubian_infinity":
         # extrapolate tau_end from the fastest-growing |log f|: the
         # collapsing/blowing coefficient g obeys log g ~ p log(dtau),
         # i.e. d tau/dT = -dtau * (d log g/dT)/p, so
         # dtau ~ (dtau/dT)/(d log g /dT) * p at the last sample.
         i_fast = int(np.argmax(np.abs(slopes)))
-        p_map = {"nut": 0.5, "bolt": 1.0, "curvature_singularity": -1.0 / 3.0}
         # exponent vs proper time of the dominant coefficient
-        p = p_map[best] if best != "curvature_singularity" else -1.0 / 3.0
+        p = {"nut": 0.5, "bolt": 1.0, "curvature_singularity": -1.0 / 3.0}[best]
         dtau_dT = math.sqrt(abs(float(np.prod(Om[-1]))))
         g_rate = slopes[i_fast]
         dtau_rem = abs(p * dtau_dT / g_rate)
@@ -415,10 +404,9 @@ def classify_endpoint(
     if best == "bolt":
         i_shrink = order[2]
         keep = [i for i in range(3) if i != i_shrink]
-        if tau_end is not None:
-            # the collapsing direction closes like f ~ (n/2) dtau
-            rate = _log_slope(tau_win, f[:, i_shrink])
-            bolt_degree = float(2 * abs(rate))
+        # the collapsing direction closes like f ~ (n/2) dtau
+        rate = _log_slope(tau_win, f[:, i_shrink])
+        bolt_degree = float(2 * abs(rate))
         bolt_radius = float(np.mean([f[-1, k] for k in keep]))
         detail["shrinking_axis"] = int(i_shrink)
 
@@ -433,25 +421,24 @@ def classify_endpoint(
     )
 
 
-def taub_nut_check(m: float, r: float, T0: float = 0.0) -> CurvatureDecomp:
+def taub_nut_check(m: float, r: float) -> CurvatureDecomp:
     """Curvature decomposition of the Taub-NUT solution at radius ``r``.
 
     The mass parameter fixes the biaxial family via m**2 = 1/(T0 - T*),
     and the radial coordinate maps to flow time through
-    m*(r - m) = 2/(T - T0).  The result must classify as self-dual.
+    m*(r - m) = 2/(T - T0); the curvature does not depend on T0, which is
+    taken as 0.  The result must classify as self-dual.
     """
     if m <= 0:
         raise DomainError(f"mass must be positive, got {m}")
     if r <= m:
         raise DomainError(f"need r > m, got r={r}, m={m}")
-    T = T0 + 2.0 / (m * (r - m))
-    T_star = T0 - 1.0 / m**2
-    state = taub_nut_family(T, T0, T_star)
+    state = taub_nut_family(2.0 / (m * (r - m)), 0.0, -1.0 / m**2)
     return curvature_decomp(state, system="dh")
 
 
-def taub_nut_endpoints(T0: float, T_star: float, n_samples: int = 200) -> dict:
-    """Integrate the biaxial family and classify both ends.
+def taub_nut_endpoints(T0: float, T_star: float) -> dict:
+    """Sample the biaxial family at 200 times and classify both ends.
 
     For T_star < T0 the solution runs from a nut at T -> +inf down to a
     'taubian infinity' as T -> T0+; for T_star > T0 the inner end is a
@@ -463,8 +450,8 @@ def taub_nut_endpoints(T0: float, T_star: float, n_samples: int = 200) -> dict:
     lo = inner + 0.02 * max(1.0, abs(inner))
     hi = inner + 60.0
     T = np.concatenate([
-        inner + np.geomspace(lo - inner, 1.0, n_samples // 2, endpoint=False),
-        np.linspace(inner + 1.0, hi, n_samples // 2),
+        inner + np.geomspace(lo - inner, 1.0, 100, endpoint=False),
+        np.linspace(inner + 1.0, hi, 100),
     ])
     Om = np.array([taub_nut_family(t, T0, T_star).Omega for t in T])
     traj = Trajectory.from_samples("dh", T, Om)

@@ -29,7 +29,7 @@ import numpy as np
 from . import numdiff
 from .errors import DomainError, NotConverged, PoleHit, StepUnderflow, dump_json
 from .modforms import (
-    DEFAULT_TRUNC, ModularPoint, Moebius, QTruncation, theta4_e2, weight2_transport
+    DEFAULT_TRUNC, ModularPoint, Moebius, QTruncation, thetas_e2, weight2_transport
 )
 
 __all__ = [
@@ -61,6 +61,17 @@ __all__ = [
 ]
 
 
+def _finite_triple(name: str, values, kind) -> tuple:
+    """`values` as a tuple of three finite `kind` (complex or float) numbers:
+    the one check of a triple, DomainError naming `name` otherwise."""
+    if len(values) != 3:
+        raise DomainError(f"{name} needs exactly 3 components")
+    values = tuple(map(kind, values))
+    if not all(map(cmath.isfinite, values)):
+        raise DomainError(f"{name} components must be finite")
+    return values
+
+
 @dataclass(frozen=True)
 class TriAxial:
     """An ordered triple of complex Darboux-Halphen/Lagrange variables."""
@@ -69,12 +80,7 @@ class TriAxial:
     z: complex = 0j
 
     def __post_init__(self):
-        if len(self.omega) != 3:
-            raise DomainError("TriAxial needs exactly 3 components")
-        object.__setattr__(self, "omega", tuple(complex(w) for w in self.omega))
-        for w in self.omega:
-            if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-                raise DomainError("TriAxial components must be finite")
+        object.__setattr__(self, "omega", _finite_triple("TriAxial", self.omega, complex))
 
 
 @dataclass(frozen=True)
@@ -85,12 +91,7 @@ class RealTriAxial:
     T: float = 0.0
 
     def __post_init__(self):
-        if len(self.Omega) != 3:
-            raise DomainError("RealTriAxial needs exactly 3 components")
-        object.__setattr__(self, "Omega", tuple(float(w) for w in self.Omega))
-        for w in self.Omega:
-            if not math.isfinite(w):
-                raise DomainError("RealTriAxial components must be finite")
+        object.__setattr__(self, "Omega", _finite_triple("RealTriAxial", self.Omega, float))
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,16 @@ class ChazyData:
 _CYC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # (i, j, k) in cyclic order
 
 
-def _dh(w):
-    """Darboux-Halphen right-hand side of a plain triple (cyclic)."""
+def _omega_dot(w, D=None):
+    """Omega_i' = Omega_j Omega_k - Omega_i (Delta_j + Delta_k) (cyclic) at the
+    plain triples Omega = w, Delta = D: the one law of conformal system II
+    and, with Delta = Omega (D omitted), of Darboux-Halphen."""
     w1, w2, w3 = w
+    D1, D2, D3 = w if D is None else D
     return (
-        w2 * w3 - w1 * (w2 + w3),
-        w3 * w1 - w2 * (w3 + w1),
-        w1 * w2 - w3 * (w1 + w2),
+        w2 * w3 - w1 * (D2 + D3),
+        w3 * w1 - w2 * (D3 + D1),
+        w1 * w2 - w3 * (D1 + D2),
     )
 
 
@@ -136,7 +140,7 @@ def _lagrange(w):
 
 def dh_rhs(state):
     """Darboux-Halphen right-hand side (cyclic) of a state or triple."""
-    return _dh(_components(state))
+    return _omega_dot(_components(state))
 
 
 def lagrange_rhs(state):
@@ -145,7 +149,7 @@ def lagrange_rhs(state):
 
 
 # name -> (right-hand side of a state or triple, the same of a plain triple)
-_SYSTEMS = {"dh": (dh_rhs, _dh), "lagrange": (lagrange_rhs, _lagrange)}
+_SYSTEMS = {"dh": (dh_rhs, _omega_dot), "lagrange": (lagrange_rhs, _lagrange)}
 _ZERO = (0.0, 0.0, 0.0)
 
 
@@ -173,7 +177,7 @@ def _flow_derivatives(system: str, w, d=None):
     rhs = _system(system)[1]
     if d is None:
         d = rhs(w)
-    if rhs is _dh:
+    if rhs is _omega_dot:
         return d, _omega_ddot(w, d, w, d)
     return d, _omega_ddot(w, d, _ZERO, _ZERO)
 
@@ -465,7 +469,7 @@ class Trajectory:
         return dump_json(vars(self))
 
     @classmethod
-    def from_samples(cls, system, T, Omega, tol=0.0, reason="completed", meta=None):
+    def from_samples(cls, system, T, Omega, tol=0.0, meta=None):
         """Build a trajectory from closed-form samples; Omega_dot from the
         system RHS."""
         T = np.asarray(T, dtype=float)
@@ -473,7 +477,7 @@ class Trajectory:
         rhs = _system(system)[1]
         Omega_dot = np.array([rhs(row) for row in Omega.tolist()], dtype=float)
         return cls(system=system, T=T, Omega=Omega, Omega_dot=Omega_dot,
-                   tol=tol, reason=reason, meta=meta or {})
+                   tol=tol, reason="completed", meta=meta or {})
 
 
 def integrate(
@@ -555,9 +559,23 @@ def integrate_ray(
 
 
 def _series(z: complex, trunc: QTruncation):
-    """(E2, theta2^4, theta3^4, theta4^4) at v = 0 and complex z, Im z >= 0.05."""
+    """(E2, theta2, theta3, theta4) at v = 0 and complex z, Im z >= 0.05: the
+    one q-series evaluation behind the closed forms, the Schwarz lambda and
+    the conformal w-solutions (one call of the shared-nome kernel)."""
     ModularPoint(z).require_qseries_domain()
-    return theta4_e2(cmath.exp(1j * cmath.pi * z), cmath.exp(0.25j * cmath.pi * z), trunc)
+    return thetas_e2(cmath.exp(1j * cmath.pi * z), cmath.exp(0.25j * cmath.pi * z), trunc)
+
+
+def _fourth_powers(th2, th3, th4):
+    """(theta2^4, theta3^4, theta4^4) by two squarings each."""
+    return (th2 * th2) * (th2 * th2), (th3 * th3) * (th3 * th3), (th4 * th4) * (th4 * th4)
+
+
+def _halphen(pref, e2, th2, th3, th4):
+    """The Halphen combination pref (E2 - theta2^4 - theta3^4, E2 + theta3^4 +
+    theta4^4, E2 + theta2^4 - theta4^4) of E2 and the thetas at v = 0."""
+    t2, t3, t4 = _fourth_powers(th2, th3, th4)
+    return pref * (e2 - t2 - t3), pref * (e2 + t3 + t4), pref * (e2 + t2 - t4)
 
 
 def halphen_closed_form(z, trunc: QTruncation = DEFAULT_TRUNC) -> TriAxial:
@@ -567,12 +585,7 @@ def halphen_closed_form(z, trunc: QTruncation = DEFAULT_TRUNC) -> TriAxial:
     thetas at v = 0.
     """
     z = complex(z)
-    e2, t2, t3, t4 = _series(z, trunc)
-    pref = cmath.pi / 6j
-    return TriAxial(
-        omega=(pref * (e2 - t2 - t3), pref * (e2 + t3 + t4), pref * (e2 + t2 - t4)),
-        z=z,
-    )
+    return TriAxial(_halphen(cmath.pi / 6j, *_series(z, trunc)), z)
 
 
 def halphen_closed_form_real(T: float, trunc: QTruncation = DEFAULT_TRUNC) -> RealTriAxial:
@@ -590,9 +603,8 @@ def halphen_closed_form_real(T: float, trunc: QTruncation = DEFAULT_TRUNC) -> Re
     if not T > 0:
         raise DomainError(f"real Halphen solution needs T > 0, got T = {T}")
     S = T if T >= 1 else 1.0 / T
-    e2, t2, t3, t4 = theta4_e2(math.exp(-math.pi * S), math.exp(-0.25 * math.pi * S), trunc)
-    pref = math.pi / 6
-    w1, w2, w3 = pref * (e2 - t2 - t3), pref * (e2 + t3 + t4), pref * (e2 + t2 - t4)
+    th = thetas_e2(math.exp(-math.pi * S), math.exp(-0.25 * math.pi * S), trunc)
+    w1, w2, w3 = _halphen(math.pi / 6, *th)
     if T < 1:
         w1, w2, w3 = S - S * S * w2, S - S * S * w1, S - S * S * w3
     return RealTriAxial((w1, w2, w3), T)
@@ -601,7 +613,7 @@ def halphen_closed_form_real(T: float, trunc: QTruncation = DEFAULT_TRUNC) -> Re
 def halphen_triplet(z, trunc: QTruncation = DEFAULT_TRUNC) -> ModularTriplet:
     """The weight-2 Gamma(2) triplet behind the Halphen solution:
     (i pi theta4^4, -i pi theta2^4, -i pi theta3^4)."""
-    _, t2, t3, t4 = _series(complex(z), trunc)
+    t2, t3, t4 = _fourth_powers(*_series(complex(z), trunc)[1:])
     return ModularTriplet(1j * cmath.pi * t4, -1j * cmath.pi * t2, -1j * cmath.pi * t3)
 
 
@@ -658,7 +670,7 @@ def dh_residual(sol, z, h=None) -> float:
 
 def schwarz_lambda(z, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
     """lambda_H(z) = theta2(0|z)^4 / theta3(0|z)^4."""
-    _, t2, t3, _ = _series(complex(z), trunc)
+    t2, t3, _ = _fourth_powers(*_series(complex(z), trunc)[1:])
     return t2 / t3
 
 

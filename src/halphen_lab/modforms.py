@@ -7,12 +7,12 @@ the running term drops below ``tol * max(1, |partial|)`` and refuse to
 work below Im(tau) = 0.05, where a q-series is the wrong tool (fold into
 the fundamental domain first, as :func:`maass.fold_to_fundamental` does).
 
-:func:`theta4_e2` is the shared-nome kernel behind the Halphen closed
-forms: E2 and the fourth powers of theta2, theta3, theta4 at v = 0 from
-one set of powers of the nome.  It takes the nome itself, so it has no
-domain check; its complex-tau callers keep the Im(tau) >= 0.05 floor, and
-on the imaginary axis the real closed form reflects T < 1 to 1/T > 1
-instead of approaching the floor.
+:func:`thetas_e2` is the shared-nome kernel behind the Halphen closed
+forms, the Schwarz lambda and the conformal w-solutions: E2, theta2,
+theta3 and theta4 at v = 0 from one set of powers of the nome.  It takes
+the nome itself, so it has no domain check; its complex-tau callers keep
+the Im(tau) >= 0.05 floor, and on the imaginary axis the real closed form
+reflects T < 1 to 1/T > 1 instead of approaching the floor.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
     "theta",
     "theta_char",
     "theta_char_vderiv",
-    "theta4_e2",
+    "thetas_e2",
     "apply_moebius",
     "weight2_transport",
 ]
@@ -241,8 +241,8 @@ def theta_char_vderiv(
     return _theta_terms(ch, v, tau, trunc, lambda n: 2j * cmath.pi * n)
 
 
-def theta4_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
-    """(E2, theta2^4, theta3^4, theta4^4) at v = 0 from the nome
+def thetas_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
+    """(E2, theta2, theta3, theta4) at v = 0 from the nome
     p = e^(i pi tau), |p| < 1, and p4 = p^(1/4) = e^(i pi tau/4):
 
         theta3, theta4 = 1 + 2 sum_{n>=1} (+-1)^n p^(n^2)
@@ -255,7 +255,8 @@ def theta4_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
     imaginary axis, p = e^(-pi S)) in real arithmetic and on a complex one.
     The theta sums stop at the first p^(n^2) below trunc.tol, and E2 is the
     Lambert series of :func:`eisenstein_holo`; either running past
-    trunc.max_terms raises TruncationNotReached.
+    trunc.max_terms raises TruncationNotReached.  Callers that need fourth
+    powers square twice (`halphen._fourth_powers`).
     """
     tol = trunc.tol
     s = alt = b_sum = 0.0  # sum p^(n^2), sum (-1)^n p^(n^2), sum p^(n(n+1)), n >= 1
@@ -274,15 +275,8 @@ def theta4_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
         if abs(a) < tol:
             break
     else:
-        raise TruncationNotReached("theta4_e2: theta sums exhausted max_terms")
-    t2 = 2 * p4 * (1 + b_sum)
-    t3 = 1 + 2 * s
-    t4 = 1 + 2 * alt
-    e2 = _lambert(2, p * p, trunc)
-    t2 *= t2
-    t3 *= t3
-    t4 *= t4
-    return e2, t2 * t2, t3 * t3, t4 * t4
+        raise TruncationNotReached("thetas_e2: theta sums exhausted max_terms")
+    return _lambert(2, p * p, trunc), 2 * p4 * (1 + b_sum), 1 + 2 * s, 1 + 2 * alt
 
 
 def apply_moebius(M: Moebius, tau):

@@ -30,6 +30,7 @@ from halphen_lab.errors import (
     CutoffTooLarge,
     DivergentParameter,
     DomainError,
+    FitIllConditioned,
     KinematicsDegenerate,
     LatticePointHit,
     NotConverged,
@@ -515,6 +516,11 @@ class TestDecompositionProbe:
     def test_needs_enough_samples(self):
         with pytest.raises(DomainError):
             decomposition_probe(2, [1.0j, 1.4j])
+
+    def test_ill_conditioned_fit(self):
+        # three equal tau give three equal rows: a rank-one design matrix
+        with pytest.raises(FitIllConditioned, match="condition number"):
+            decomposition_probe(2, [1.1j] * 3, LatticeSumSpec(R=10))
 
     def test_bad_weight(self):
         with pytest.raises(DomainError):

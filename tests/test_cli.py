@@ -170,6 +170,14 @@ class TestEisenstein:
         payload = json.loads(out)
         assert payload["fourier"]["value"] == pytest.approx(2 * 1.2**100, rel=1e-9)
 
+    def test_negative_zeta_2s_is_a_value(self, capsys):
+        # 2 zeta(2s) < 0 at s = 1/4: the value is negative, its bar is not
+        code, out = run(capsys, "eisenstein", "--s", "0.25", "--tau", "0.1+1.1i")
+        assert code == 0
+        fourier = json.loads(out)["fourier"]
+        assert math.isfinite(fourier["value"]) and fourier["value"] < 0
+        assert 0 <= fourier["est_error"] < 1e-12
+
     @pytest.mark.parametrize("argv", [["--s", "200", "--both-methods"], ["--s=-90"]])
     def test_overflowing_s_is_numeric_failure(self, capsys, argv):
         code = main(["eisenstein", "--tau", "0.1+1.2i", *argv])
@@ -286,6 +294,16 @@ class TestBadNumbers:
          "DomainError: the amplitude at alpha' s = 1e-120, alpha' t = 1e-100 overflows a float"),
         (["curvature", "--taubnut", "0,-1e300"], 2,
          "DomainError: the curvature at Omega = "),
+        (["curvature", "--taubnut", "0,-1e150"], 2,
+         "DomainError: the curvature at T = 0.05 overflows a float"),
+        (["dsum", "--n", "2", "--tau", "1e200i", "--cutoff", "4"], 2,
+         "DomainError: D_2 at tau = 1e+200j overflows a float"),
+        (["dsum", "--n", "4", "--tau", "1e120i", "--cutoff", "4"], 2,
+         "DomainError: D_4 at tau = 1e+120j overflows a float"),
+        (["graphd", "--mult", "1,1,0,1,0,0", "--tau", "1e200i", "--cutoff", "4"], 2,
+         "DomainError: the graph sum (1, 1, 0, 1, 0, 0) at tau = 1e+200j overflows a float"),
+        (["graphd", "--mult", "2,0,0,0,0,2", "--tau", "1e120i", "--cutoff", "4"], 2,
+         "DomainError: the graph sum (2, 0, 0, 0, 0, 2) at tau = 1e+120j overflows a float"),
     ])
     def test_typed_failure(self, capsys, argv, code, message):
         assert main(argv) == code

@@ -38,7 +38,14 @@ from halphen_lab.halphen import (
     lagrange_rhs,
     schwarz_lambda,
 )
-from halphen_lab.modforms import Moebius
+from halphen_lab.modforms import (
+    Moebius,
+    ThetaChar,
+    eisenstein_holo,
+    theta,
+    theta_char,
+    theta_char_vderiv,
+)
 
 
 class TestSystemsRhs:
@@ -46,8 +53,8 @@ class TestSystemsRhs:
         om = (0.3 + 0.1j, -0.2 + 0.4j, 1.1 - 0.3j)
         state = ConformalState(delta=om, omega=om)
         d_dot, o_dot = systems_rhs(state)
-        assert d_dot == pytest.approx(dh_rhs(om))
-        assert o_dot == pytest.approx(dh_rhs(om))
+        assert d_dot == dh_rhs(om)
+        assert o_dot == dh_rhs(om)
 
     def test_delta_zero_reduces_to_lagrange(self):
         om = (0.3 + 0.1j, -0.2 + 0.4j, 1.1 - 0.3j)
@@ -132,6 +139,59 @@ class TestAhLimit:
     def test_pole(self):
         with pytest.raises(PoleHit):
             ah_limit_solution(-1.2j, 1.2j)
+
+
+class TestAgainstGeneralThetas:
+    """Both w-solutions take E2 and the theta constants from one shared-nome
+    kernel call; the reference here writes them from the general theta
+    series and the E2 Lambert series."""
+
+    @staticmethod
+    def thetas(z):
+        return [theta(j, 0, z) for j in (2, 3, 4)]
+
+    def samples(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0))
+            yield z, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), complex(
+                rng.uniform(-1.0, 1.0), rng.uniform(0.2, 2.0)
+            )
+
+    @staticmethod
+    def assert_close(got, ref_w, ref_lam):
+        for g, r in zip(got.w, ref_w):
+            assert abs(g - r) <= 1e-14 * abs(r)
+        assert abs(got.lam - ref_lam) <= 1e-14 * abs(ref_lam)
+
+    def test_w_theta_solution(self):
+        for z, a, b, _ in self.samples():
+            th2, th3, th4 = self.thetas(z)
+            den = theta_char(ThetaChar(a, b), 0, z)
+            d1, d2, d3 = (
+                theta_char_vderiv(ThetaChar(a + i, b + j), 0, z) for i, j in ((1, 0), (0, 1), (1, 1))
+            )
+            phase = cmath.exp(-1j * math.pi * a / 2)
+            tp = 2 * math.pi
+            ref = (
+                d1 / (tp * th2 * th3 * den),
+                phase * d2 / (tp * th3 * th4 * den),
+                -phase * d3 / (tp * th2 * th4 * den),
+            )
+            self.assert_close(w_theta_solution(a, b, z), ref, th2**4 / th3**4)
+
+    def test_ah_limit_solution(self):
+        for z, _, _, z0 in self.samples():
+            th2, th3, th4 = self.thetas(z)
+            e2 = eisenstein_holo(2, z)
+            pole = 1j / (z + z0)
+            p6 = math.pi / 6
+            ref = (
+                -(pole - p6 * (e2 - th2**4 - th3**4)) / (math.pi * th2**2 * th3**2),
+                -1j * (pole - p6 * (e2 + th3**4 + th4**4)) / (math.pi * th3**2 * th4**2),
+                -1j * (pole - p6 * (e2 + th2**4 - th4**4)) / (math.pi * th2**2 * th4**2),
+            )
+            self.assert_close(ah_limit_solution(z0, z), ref, th2**4 / th3**4)
 
 
 class TestWLambda:

@@ -38,6 +38,7 @@ from halphen_lab.halphen import (
     system_second_derivative,
     taub_nut_family,
 )
+from halphen_lab.conformal import ConformalState
 from halphen_lab.modforms import Moebius, eisenstein_holo
 
 
@@ -64,6 +65,22 @@ class TestRHS:
     def test_lagrange(self):
         assert lagrange_rhs(TriAxial((1, 1, 1), 0j)) == (1, 1, 1)
         assert lagrange_rhs(TriAxial((0, 2, 3), 0j)) == (6, 0, 0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: TriAxial(v), "TriAxial"),
+    (lambda v: RealTriAxial(v), "RealTriAxial"),
+    (lambda v: ConformalState(delta=v, omega=(1, 2, 3)), "delta"),
+    (lambda v: ConformalState(delta=(1, 2, 3), omega=v), "omega"),
+])
+def test_triple_check_messages(make, name):
+    # one check behind every triple, each message naming its owner
+    assert make((1, 2, 3.5))
+    with pytest.raises(DomainError, match=f"^{name} needs exactly 3 components$"):
+        make((1, 2))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^{name} components must be finite$"):
+            make((1, bad, 3))
 
 
 class TestIntegrate:

@@ -258,6 +258,19 @@ class TestFourier:
         with pytest.raises(PoleAtS):
             eisenstein_fourier(1.0, 1j)
 
+    @pytest.mark.parametrize("s", [0.25, 0.3, -0.5, -1.2, -2.3])
+    def test_functional_equation_below_one_half(self, s):
+        # xi(2s) E_s / (2 zeta(2s)) is the completed primitive series,
+        # invariant under s -> 1 - s; 2 zeta(2s) < 0 at every s here but -1.2
+        def completed(a, tau):
+            return completed_zeta(2 * a) * eisenstein_fourier(a, tau).value / (
+                2 * riemann_zeta(2 * a)
+            )
+
+        for tau in (1j, 0.1 + 1.1j, -0.3 + 2.0j):
+            ref = completed(1 - s, tau)
+            assert abs(completed(s, tau) - ref) <= 1e-14 * abs(ref)
+
     @pytest.mark.parametrize("s", [1.5, 2.0])
     def test_folds_tau_near_real_axis(self, s):
         # 0.2 + 0.06i folds by S then T^5; the oracle expands there
