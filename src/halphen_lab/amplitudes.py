@@ -372,14 +372,15 @@ def kronecker_eisenstein_Dn(
         raise WeightTooLarge("D_n implemented for n in {2, 3, 4}")
     t = tau.tau
     R = _cutoff(spec.R)
-    if n == 2:
-        value = _half_sum(_weight_grid(t, R) ** 2)
-    else:
-        L = _next_5_smooth(n * R + 1)
-        _check_array_size(L * (L // 2 + 1), 8, f"the D_{n} transform at R = {R}")
-        W_hat = _half_transform(_weight_grid(t, R), L)
-        P = W_hat * W_hat
-        value = _torus_sum(P * W_hat if n == 3 else P * P)
+    with np.errstate(over="ignore"):  # an overflowing sum is caught by `_finite_sum`
+        if n == 2:
+            value = _half_sum(_weight_grid(t, R) ** 2)
+        else:
+            L = _next_5_smooth(n * R + 1)
+            _check_array_size(L * (L // 2 + 1), 8, f"the D_{n} transform at R = {R}")
+            W_hat = _half_transform(_weight_grid(t, R), L)
+            P = W_hat * W_hat
+            value = _torus_sum(P * W_hat if n == 3 else P * P)
     return _finite_sum(value, _dn_tail(n, t, R), f"D_{n}", t)
 
 
@@ -498,26 +499,27 @@ def graph_D(
         )
 
     t = tau.tau
-    if loops == 1:
-        value = _half_sum(_weight_grid(t, R) ** mult.weight)
-    else:
-        # each chord lies on its own cycle only, so the q1 and q2 classes
-        # are never empty; the other edges share one path and carry q1 +- q2
-        k1 = cycles[1].count(0)
-        k2 = cycles[0].count(0)
-        k3 = mult.weight - k1 - k2
-        if k3 == 0:
-            W = _weight_grid(t, R)
-            value = _half_sum(W**k1) * _half_sum(W**k2)
+    with np.errstate(over="ignore"):  # an overflowing sum is caught by `_finite_sum`
+        if loops == 1:
+            value = _half_sum(_weight_grid(t, R) ** mult.weight)
         else:
-            L = _next_5_smooth(4 * R + 1)
-            # the (4R+1)^2 box's transform holds its rfft, (2R+1) x (L/2+1)
-            # complex, and its output, L x (L/2+1) real: about L^2 floats
-            _check_array_size(L * L, 8, f"the two-loop convolution at R = {R}")
-            W = _weight_grid(t, R)
-            A = _half_transform(W**k1, L)
-            B = A if k2 == k1 else _half_transform(W**k2, L)
-            value = _torus_sum(A * B * _half_transform(_weight_grid(t, 2 * R) ** k3, L))
+            # each chord lies on its own cycle only, so the q1 and q2 classes
+            # are never empty; the other edges share one path and carry q1 +- q2
+            k1 = cycles[1].count(0)
+            k2 = cycles[0].count(0)
+            k3 = mult.weight - k1 - k2
+            if k3 == 0:
+                W = _weight_grid(t, R)
+                value = _half_sum(W**k1) * _half_sum(W**k2)
+            else:
+                L = _next_5_smooth(4 * R + 1)
+                # the (4R+1)^2 box's transform holds its rfft, (2R+1) x (L/2+1)
+                # complex, and its output, L x (L/2+1) real: about L^2 floats
+                _check_array_size(L * L, 8, f"the two-loop convolution at R = {R}")
+                W = _weight_grid(t, R)
+                A = _half_transform(W**k1, L)
+                B = A if k2 == k1 else _half_transform(W**k2, L)
+                value = _torus_sum(A * B * _half_transform(_weight_grid(t, 2 * R) ** k3, L))
     return _finite_sum(value, _dn_tail(mult.weight, t, R), f"the graph sum {mult.n}", t)
 
 

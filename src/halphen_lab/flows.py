@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InsufficientData, OutOfRange, dump_json
-from .geometry import frame_coefficients, proper_time
-from .halphen import RealTriAxial, Trajectory, _components, integrate
+from .geometry import _frame, _triple_array, frame_coefficients, proper_time
+from .halphen import RealTriAxial, Trajectory, integrate
 
 __all__ = [
     "FlowRun",
@@ -46,7 +46,12 @@ slice_metric = frame_coefficients
 
 def slice_scalar_curvature(state) -> float:
     """Scalar curvature of the homogeneous slice metric."""
-    A, B, C = slice_metric(state)
+    return _scalar_curvature(*slice_metric(state))
+
+
+def _scalar_curvature(A, B, C):
+    """Rbar of the module docstring from the slice coefficients, which may
+    be floats or arrays."""
     return (2 * (A * B + B * C + C * A) - A * A - B * B - C * C) / (2 * A * B * C)
 
 
@@ -56,8 +61,12 @@ def slice_volume(state) -> float:
     (The invariant volume of the SU(2) orbit times this density is the
     slice volume; the constant orbit factor is dropped.)
     """
-    A, B, C = slice_metric(state)
-    return math.sqrt(abs(A * B * C))
+    return float(_volume(*slice_metric(state)))
+
+
+def _volume(A, B, C):
+    """sqrt|A1 A2 A3| from the slice coefficients, floats or arrays."""
+    return np.sqrt(np.abs(A * B * C))
 
 
 # flow time is the proper time of the 4-metric
@@ -87,9 +96,13 @@ class FlowRun:
 
 def isotropy_ratio(state) -> float:
     """Relative spread max|Omega_i - Omega_j| / max|Omega_i|."""
-    Om = _components(state)
-    spread = max(abs(Om[i] - Om[j]) for i in range(3) for j in range(i + 1, 3))
-    return spread / max(abs(w) for w in Om)
+    return float(_isotropy(_triple_array(state)))
+
+
+def _isotropy(Om):
+    """`isotropy_ratio` of the Omega triples along the last axis of an array."""
+    spread = np.abs(Om[..., [0, 0, 1]] - Om[..., [1, 2, 2]]).max(axis=-1)
+    return spread / np.abs(Om).max(axis=-1)
 
 
 def flow_run(
@@ -103,10 +116,16 @@ def flow_run(
     |Omega_i| through A_i, so the flow continues across a sign change.
     """
     traj = integrate("dh", init, T_end, tol=tol, stop_on_root=False)
-    rows = traj.Omega.tolist()
-    vol = np.array([slice_volume(row) for row in rows])
-    sc = np.array([slice_scalar_curvature(row) for row in rows])
-    anis = np.array([isotropy_ratio(row) for row in rows])
+    A, B, C = _frame(traj.Omega).T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        vol = _volume(A, B, C)
+        sc = _scalar_curvature(A, B, C)
+        anis = _isotropy(traj.Omega)
+    finite = np.isfinite(vol) & np.isfinite(sc) & np.isfinite(anis)
+    if not finite.all():
+        # a slice coefficient that rounds to 0 (Omega = 1e-200, 1e-200, 1) divides Rbar by 0
+        T = traj.T[np.argmin(finite)]
+        raise DomainError(f"the slice diagnostics at T = {T} leave the float range")
     return FlowRun(
         traj=traj,
         t=flow_time(traj),
@@ -135,22 +154,23 @@ def volume_rate_check(run: FlowRun, T: float | None = None) -> float:
             raise OutOfRange(f"T = {T} not interior to the run")
         i = int(np.argmin(np.abs(run.traj.T - T)))
         i = min(max(i, skip), len(t) - skip - 1)
-        indices = [i]
     else:
-        indices = range(skip, len(t) - skip)
-    res = 0.0
-    for i in indices:
-        h1 = t[i] - t[i - 1]
-        h2 = t[i + 1] - t[i]
+        i = np.arange(skip, len(t) - skip)
+    h1 = t[i] - t[i - 1]
+    h2 = t[i + 1] - t[i]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         dV = (
             V[i + 1] * h1 / (h2 * (h1 + h2))
             - V[i - 1] * h2 / (h1 * (h1 + h2))
             + V[i] * (h2 - h1) / (h1 * h2)
         )
         target = -0.5 * V[i] * R[i]
-        scale = max(abs(target), 1e-12 * abs(V[i]))
-        res = max(res, abs(dV - target) / scale)
-    return float(res)
+        scale = np.maximum(np.abs(target), 1e-12 * np.abs(V[i]))
+        res = np.abs(dV - target) / scale
+    if not np.isfinite(res).all():
+        # as where t stalls: dt/dT = sqrt|Omega1 Omega2 Omega3| rounds to 0
+        raise DomainError("the volume rate residual is not finite")
+    return float(np.max(res))
 
 
 def attractor_check(init: RealTriAxial) -> dict:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMetric, DomainError, InsufficientData, dump_json
-from .halphen import _CYC, Trajectory, _components, _flow_derivatives, taub_nut_family
+from .halphen import Trajectory, _components, _flow_derivatives, taub_nut_family
 
 __all__ = [
     "ConnectionCoeffs",
@@ -297,11 +297,28 @@ def frame_coefficients(state):
     component describe the same geometry up to an overall sign of the
     metric.
     """
-    Omega = _components(state)
-    _require_nondegenerate(Omega)
-    return tuple(
-        math.sqrt(abs(Omega[j] * Omega[k] / Omega[i])) for i, j, k in _CYC
-    )
+    return tuple(_frame(_triple_array(state)).tolist())
+
+
+def _triple_array(state):
+    """The three components of a state or triple as a float array, or a
+    complex one if any component is complex."""
+    w = _components(state)
+    return np.array(w, dtype=np.result_type(*w, 1.0))
+
+
+def _frame(Om):
+    """sqrt|Omega_j Omega_k / Omega_i|, (i, j, k) cyclic, for the Omega
+    triples along the last axis of an array: the one formula behind
+    `frame_coefficients`, the endpoint window and the flow's slice metric.
+    DegenerateMetric names the first triple with a component below 1e-300
+    in size; a product that leaves the float range gives inf or NaN
+    silently, as plain floats do."""
+    if not np.abs(Om).min() >= 1e-300:
+        for row in Om.reshape(-1, 3).tolist():
+            _require_nondegenerate(tuple(row))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.abs(Om[..., [1, 2, 0]] * Om[..., [2, 0, 1]] / Om))
 
 
 def proper_time(traj: Trajectory) -> np.ndarray:
@@ -321,12 +338,10 @@ _PATTERNS = {
 
 
 def _log_slope(x, y):
-    """Least-squares slope of y against x."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return coef[0]
+    """Least-squares slope of y against x, or of each column of a 2-D y:
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2."""
+    xc = x - x.mean()
+    return xc @ (y - y.mean(axis=0)) / (xc @ xc)
 
 
 def classify_endpoint(traj: Trajectory, end: str = "last") -> EndpointClass:
@@ -354,9 +369,8 @@ def classify_endpoint(traj: Trajectory, end: str = "last") -> EndpointClass:
     step = -1 if end == "first" else 1
     T, Om = traj.T[::step][-window:], traj.Omega[::step][-window:]
 
-    f = np.array([frame_coefficients(row) for row in Om.tolist()])
-    logf = np.log(f)
-    slopes = np.array([_log_slope(T, logf[:, i]) for i in range(3)])
+    f = _frame(Om)
+    slopes = _log_slope(T, np.log(f))
     total = slopes.sum()
     if abs(total) < 1e-14:
         raise InsufficientData("frame coefficients are stationary; integrate further")
@@ -376,7 +390,7 @@ def classify_endpoint(traj: Trajectory, end: str = "last") -> EndpointClass:
         tau = tau[-1] - tau[::-1]
     tau_win = tau[-window:]
 
-    detail = {"ratios": [float(r) for r in ratios], "pattern_distance": float(dist)}
+    detail = {"ratios": ratios.tolist(), "pattern_distance": float(dist)}
     T_end_est = float(T[-1])
     tau_end = None
     bolt_degree = None
@@ -398,8 +412,7 @@ def classify_endpoint(traj: Trajectory, end: str = "last") -> EndpointClass:
         # refine T_end by the same local model
         T_end_est = float(T[-1] + dtau_rem / dtau_dT * (1 if T[-1] >= T[0] else -1))
 
-    exps = tuple(float(r) for r in (np.array(_PATTERNS[best])[np.argsort(order)]
-                                    if order else ratios))
+    exps = tuple(np.array(_PATTERNS[best])[np.argsort(order)].tolist())
 
     if best == "bolt":
         i_shrink = order[2]

@@ -89,9 +89,9 @@ def lattice_points(tau, R: float):
     on each side than that window, then cut at |p| <= R, so rounding at
     the edge keeps exactly the points of the full cut.  The full set is
     this half and its negation, and -p has the bits of p negated, so any
-    even function of p has the same value on both halves: twice the
-    exactly rounded sum over the half (math.fsum) is the exactly rounded
-    sum over the whole set, since doubling is exact."""
+    even function of p has the same value on both halves, and twice a sum
+    over the half is the sum over the whole set with the same rounding,
+    since doubling is exact."""
     tau = _as_point(tau).tau
     x, y = tau.real, tau.imag
     # floor(R/y) + 1 rows of at most 2R + 5 points each
@@ -120,9 +120,11 @@ def eisenstein_lattice(
 
     (lattice density 1/y).  The tail matches the discrete remainder to a
     few parts in 10^3, so it is added to the value; the quoted error is
-    the empirically calibrated residual of that correction.  The terms
-    are even in p, so the sum runs over lattice_points' half lattice and
-    is doubled."""
+    the empirically calibrated residual of that correction, tail*30/R^2,
+    plus the rounding of the sum.  The terms are even in p, so the sum
+    runs over lattice_points' half lattice and is doubled.  numpy sums
+    the n positive terms pairwise, which rounds by at most
+    (ceil(log2 n) + 18) 2^-53 of the sum (`_pairwise_rounding`)."""
     _check_s(s)
     if not s > 1:
         raise DivergentParameter(f"lattice sum needs s > 1, got s = {s}")
@@ -132,11 +134,23 @@ def eisenstein_lattice(
     # (y/|p|^2)^s underflows to 0 far out where |p|^(2s) alone would overflow
     with np.errstate(over="ignore"):  # an overflowing term is caught below
         terms = (y / (p.real**2 + p.imag**2)) ** s
-    value = 2.0 * math.fsum(terms.tolist())
+        value = 2.0 * float(terms.sum())
     if value == math.inf:  # p = 1 adds y^s, so y ** (s - 1) cannot overflow alone
         raise DomainError(f"E_s overflows a float at s = {s}, tau = {tau}")
     tail = 2 * math.pi * y ** (s - 1) * spec.R ** (2 - 2 * s) / (2 * s - 2)
-    return MaassValue(value=value + tail, est_error=tail * 30.0 / spec.R**2)
+    return MaassValue(value=value + tail,
+                      est_error=tail * 30.0 / spec.R**2 + _pairwise_rounding(terms.size) * value)
+
+
+def _pairwise_rounding(n: int) -> float:
+    """Relative rounding bound of numpy's pairwise sum of n >= 1 terms of
+    one sign: (ceil(log2 n) + 18) 2^-53.  numpy halves an array of more
+    than 128 terms recursively; a block of at most 128 goes into 8 running
+    sums of at most 16 terms, a tree of depth 3 joins them and its last
+    n mod 8 terms are added one by one.  So no term passes through more
+    than ceil(log2 n) + 17 roundings, and one more 2^-53 covers their
+    product."""
+    return (math.ceil(math.log2(n)) + 18) * 2.0**-53
 
 
 def _check_s(s):
@@ -265,9 +279,9 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     norm = 2 * riemann_zeta(2 * s)
     xi2s = completed_zeta(2 * s)
     try:  # the zero modes
-        total = y**s + completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)
+        modes = [y**s, completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)]
     except OverflowError:
-        total = math.inf
+        modes = [math.inf]
     last_term = 0.0
     besselk = _besselk(s - 0.5, 2 * math.pi * np.arange(1, n_max + 1) * y)
     for n, bessel in enumerate(besselk.tolist(), 1):
@@ -283,13 +297,19 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
             * bessel
             / (2 * xi2s)
         )
-        total += coef * 2 * math.cos(2 * math.pi * n * x)
+        modes.append(coef * 2 * math.cos(2 * math.pi * n * x))
         last_term = abs(coef) * 2
+    total = 0.0
+    for mode in modes:  # one rounding per mode, in order on every Python version
+        total += mode
     value = norm * total
     if not math.isfinite(value):
         raise DomainError(f"E_s overflows a float at s = {s}, tau = {tau}")
-    # 2 zeta(2s) is negative at many s < 1/2 (s = 1/4 among them)
-    return MaassValue(value=value, est_error=abs(norm) * last_term)
+    # the first dropped mode, plus a rounding floor of 2^-53 per mode added
+    # of the sum of |mode|; 2 zeta(2s) is negative at many s < 1/2 (s = 1/4
+    # among them)
+    rounding = len(modes) * 2.0**-53 * sum(map(abs, modes))
+    return MaassValue(value=value, est_error=abs(norm) * (last_term + rounding))
 
 
 def laplacian_eigencheck(s: float, tau, h: float) -> float:

@@ -304,6 +304,10 @@ class TestBadNumbers:
          "DomainError: the graph sum (1, 1, 0, 1, 0, 0) at tau = 1e+200j overflows a float"),
         (["graphd", "--mult", "2,0,0,0,0,2", "--tau", "1e120i", "--cutoff", "4"], 2,
          "DomainError: the graph sum (2, 0, 0, 0, 0, 2) at tau = 1e+120j overflows a float"),
+        (["flow", "--init", "1e-200,1e-200,1", "--t0", "1", "--t1", "2"], 2,
+         "DomainError: the slice diagnostics at T = 1.0 leave the float range"),
+        (["flow", "--init", "1e-160,1e-160,1e-160", "--t0", "1", "--t1", "2"], 2,
+         "DomainError: the volume rate residual is not finite"),
     ])
     def test_typed_failure(self, capsys, argv, code, message):
         assert main(argv) == code

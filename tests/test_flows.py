@@ -183,6 +183,80 @@ class TestVolumeRate:
             volume_rate_check(run, T=40.0)
 
 
+# the per-row loops flow_run and volume_rate_check ran before they became
+# array expressions: the reference the array path must match bit for bit
+
+
+def _per_row_diagnostics(Omega):
+    vol, sc, anis = [], [], []
+    for w in Omega.tolist():
+        A, B, C = (math.sqrt(abs(w[j] * w[k] / w[i]))
+                   for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        vol.append(math.sqrt(abs(A * B * C)))
+        sc.append((2 * (A * B + B * C + C * A) - A * A - B * B - C * C) / (2 * A * B * C))
+        spread = max(abs(w[i] - w[j]) for i in range(3) for j in range(i + 1, 3))
+        anis.append(spread / max(abs(v) for v in w))
+    return np.array(vol), np.array(sc), np.array(anis)
+
+
+def _per_row_rate(run, T=None):
+    t, V, R = run.t, run.volume, run.scalar
+    if T is None:
+        indices = range(2, len(t) - 2)
+    else:
+        i = int(np.argmin(np.abs(run.traj.T - T)))
+        indices = [min(max(i, 2), len(t) - 3)]
+    res = 0.0
+    for i in indices:
+        h1 = t[i] - t[i - 1]
+        h2 = t[i + 1] - t[i]
+        dV = (
+            V[i + 1] * h1 / (h2 * (h1 + h2))
+            - V[i - 1] * h2 / (h1 * (h1 + h2))
+            + V[i] * (h2 - h1) / (h1 * h2)
+        )
+        target = -0.5 * V[i] * R[i]
+        res = max(res, abs(dV - target) / max(abs(target), 1e-12 * abs(V[i])))
+    return float(res)
+
+
+class TestArrayDiagnostics:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_per_row_loops(self, seed):
+        # mixed signs: the flow crosses roots (not terminal here) or blows up
+        rng = np.random.default_rng(seed)
+        init = RealTriAxial(tuple(rng.uniform(-3, 3, 3)), 1.0)
+        run = flow_run(init, 1.0 + rng.uniform(1.0, 6.0))
+        vol, sc, anis = _per_row_diagnostics(run.traj.Omega)
+        assert run.volume.tobytes() == vol.tobytes()
+        assert run.scalar.tobytes() == sc.tobytes()
+        assert run.anisotropy.tobytes() == anis.tobytes()
+        assert volume_rate_check(run) == _per_row_rate(run)
+        for T in run.traj.T[[2, len(run.t) // 2, -3]]:
+            assert volume_rate_check(run, T=T) == _per_row_rate(run, T=T)
+
+    def test_per_row_helpers_match_rows(self):
+        run = flow_run(RealTriAxial((-1.0, 2.0, 3.0), 1.0), 4.0)
+        for i in (0, len(run.t) // 2, -1):
+            row = tuple(run.traj.Omega[i].tolist())
+            assert slice_volume(row) == run.volume[i]
+            assert slice_scalar_curvature(row) == run.scalar[i]
+            assert isotropy_ratio(row) == run.anisotropy[i]
+
+    def test_slice_coefficient_below_float_range(self):
+        # A3 = sqrt(1e-200 * 1e-200 / 1) rounds to 0 and Rbar divided by it
+        with pytest.raises(DomainError, match="slice diagnostics at T = 1.0 leave the float range"):
+            flow_run(RealTriAxial((1e-200, 1e-200, 1.0), 1.0), 2.0)
+
+    def test_stalled_flow_time(self):
+        # dt/dT = sqrt|Omega1 Omega2 Omega3| = 1e-240 leaves t at 0: the
+        # residual was 0/0, which a per-row maximum skipped as 0.0
+        run = flow_run(RealTriAxial((1e-160, 1e-160, 1e-160), 1.0), 2.0)
+        assert np.all(run.t == 0.0)
+        with pytest.raises(DomainError, match="volume rate residual is not finite"):
+            volume_rate_check(run)
+
+
 class TestTrapping:
     def test_random_positive_inits_stay_positive(self):
         rng = np.random.default_rng(7)

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from halphen_lab import geometry
 from halphen_lab.errors import DegenerateMetric, DomainError, InsufficientData
 from halphen_lab.geometry import (
     classify_endpoint,
@@ -206,6 +207,53 @@ class TestEndpoints:
     def test_frame_coefficients(self):
         f = frame_coefficients((2.0, 3.0, 6.0))
         assert f == (3.0, 2.0, 1.0)
+
+
+def _lstsq_slope(x, y):
+    """The np.linalg.lstsq slope of y (or of each column) against x: the
+    reference for the closed form of `geometry._log_slope`."""
+    coef, *_ = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
+    return coef[0]
+
+
+def _endpoint_runs():
+    """Seeded DH and Lagrange runs with mixed-sign data, and sampled
+    Taub-NUT families with a nut, a taubian infinity and a singularity."""
+    rng = np.random.default_rng(41)
+    runs = []
+    for k in range(12):
+        system = "dh" if k % 2 else "lagrange"
+        init = RealTriAxial(tuple(rng.uniform(-3, 3, 3)), 1.0)
+        runs.append(integrate(system, init, 1.0 + rng.uniform(-3.0, 8.0), tol=1e-10))
+    for T0, T_star in ((0.0, -1.0), (0.0, 1.0)):
+        T = np.linspace(abs(T_star) + 0.05, 40.0, 300)
+        Om = np.array([taub_nut_family(t, T0, T_star).Omega for t in T])
+        runs.append(Trajectory.from_samples("dh", T, Om))
+    return [r for r in runs if len(r.T) >= 30]
+
+
+class TestLogSlope:
+    def test_matches_lstsq(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x = np.sort(rng.uniform(-2.0, 5.0, 25))
+            noise = 0.1 * rng.normal(size=(25, 3))
+            y = rng.normal(size=3) + np.outer(x, rng.normal(size=3)) + noise
+            ref = _lstsq_slope(x, y)
+            assert np.all(np.abs(geometry._log_slope(x, y) - ref) <= 1e-12 * np.abs(ref))
+            assert abs(geometry._log_slope(x, y[:, 1]) - ref[1]) <= 1e-12 * abs(ref[1])
+
+    @pytest.mark.parametrize("end", ["last", "first"])
+    def test_classification_unchanged_from_lstsq(self, monkeypatch, end):
+        runs = _endpoint_runs()
+        new = [classify_endpoint(traj, end=end) for traj in runs]
+        monkeypatch.setattr(geometry, "_log_slope", _lstsq_slope)
+        old = [classify_endpoint(traj, end=end) for traj in runs]
+        assert {ep.kind for ep in new} >= {"nut", "taubian_infinity", "curvature_singularity"}
+        for a, b in zip(new, old):
+            assert a.kind == b.kind
+            assert a.exponents == b.exponents
+            assert a.detail.get("shrinking_axis") == b.detail.get("shrinking_axis")
 
 
 class TestTaubNutCheck:

@@ -223,9 +223,14 @@ class TestLattice:
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 7.0])
     def test_bit_identical_to_full_lattice_sum(self, s):
+        # the same terms as the exactly rounded reference, summed pairwise:
+        # within (ceil(log2 n) + 16) 2^-53 of it (the bar allows + 18, the
+        # worst case of numpy's blocking)
         for tau, R in _LATTICE_CASES:
             got = eisenstein_lattice(s, tau, LatticeSumSpec(R=R)).value
-            assert got == rectangle_lattice_sum(s, tau, R), (s, tau, R)
+            ref = rectangle_lattice_sum(s, tau, R)
+            n = lattice_points(tau, R).size
+            assert abs(got - ref) <= (math.ceil(math.log2(n)) + 16) * 2.0**-53 * ref, (s, tau, R)
 
 
 class TestFourier:
@@ -290,6 +295,18 @@ class TestAgreement:
             lat = eisenstein_lattice(s, tau, LatticeSumSpec(R=120))
             fou = eisenstein_fourier(s, tau)
             assert lat.agrees_with(fou), (s, tau, lat, fou)
+
+    @pytest.mark.parametrize("s", [3.5, 4.0, 5.0])
+    def test_bars_cover_rounding(self, s):
+        # the Fourier bar's last mode and, from about s = 3.5 up, the lattice
+        # truncation bar lie below binary64 rounding: the floors carry them
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 2.0))
+            ref = mpmath_fourier(s, tau)
+            lattice = eisenstein_lattice(s, tau, LatticeSumSpec(R=120))
+            for got in (lattice, eisenstein_fourier(s, tau)):
+                assert abs(got.value - ref) <= got.est_error, (s, tau, got)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 2.5])
     def test_modular_invariance(self, s):
