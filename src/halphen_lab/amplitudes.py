@@ -272,10 +272,14 @@ def _next_5_smooth(n: int) -> int:
 def _half_transform(A, L: int):
     """A_hat(k) = sum_p A(p) e^(-2 pi i p.k / L) on an L x L torus, for A
     even in p and given by its rows m >= 0 as `_weight_grid` builds them,
-    (R+1) x (2R+1) with 2R < L.  A_hat is real and even: an rfft along n,
-    rephased to centre p = 0, then a Hermitian FFT along m (rows m < 0 are
-    the conjugates of rows m > 0) give its columns k_n = 0 .. L/2, an
-    L x (L//2 + 1) array.
+    (R+1) x (2R+1) with 2R < L, or for a stack of such grids along leading
+    axes.  A_hat is real and even: an rfft along n, rephased to centre
+    p = 0, then, with m moved to the contiguous last axis, an inverse real
+    FFT along m (rows m < 0 are the conjugates of rows m > 0).
+
+    The result is (..., L//2 + 1, L): row k_n = 0 .. L/2, column k_m, and
+    it holds A_hat(-k_m, k_n).  The inverse transform reflects k_m, which
+    only relabels the torus, so no sum over k changes.
 
     Parseval: for even A_1 .. A_j on boxes whose half-widths add up to
     less than L, no sum of box momenta wraps to 0 mod L, so
@@ -286,19 +290,21 @@ def _half_transform(A, L: int):
     momentum conserved and every p_i uncut in its own box.  `_torus_sum`
     takes the sum over k.
     """
-    R = A.shape[0] - 1
-    centre = np.exp(2j * math.pi * R / L * np.arange(L // 2 + 1))
-    return np.fft.hfft(np.fft.rfft(A, L, axis=1) * centre, L, axis=0)
+    R = A.shape[-2] - 1
+    F = np.fft.rfft(A, L, axis=-1)
+    F *= np.exp(2j * math.pi * R / L * np.arange(L // 2 + 1))
+    return np.fft.irfft(np.ascontiguousarray(np.swapaxes(F, -1, -2)), L, axis=-1, norm="forward")
 
 
-def _torus_sum(P) -> float:
-    """sum_k P(k) / L^2 over the L x L torus, for P even in k given by the
-    columns k_n = 0 .. L/2 of `_half_transform`: columns 0 and, for even L,
-    L/2 are their own mirror images, and every other column counts twice."""
-    L = P.shape[0]
-    cols = P.sum(axis=0)
+def _torus_sum(X, Y) -> float:
+    """sum_k X(k) Y(k) / L^2 over the L x L torus, for X and Y even in k
+    given by the rows k_n = 0 .. L/2 of `_half_transform`: one pass over
+    the rows, then rows 0 and, for even L, L/2 count once (they are their
+    own mirror images) and every other row counts twice."""
+    L = X.shape[-1]
+    rows = np.einsum("ij,ij->i", X, Y)
     mid = (L + 1) // 2
-    return float(cols[0] + 2 * cols[1:mid].sum() + cols[mid:].sum()) / (L * L)
+    return float(rows[0] + 2 * rows[1:mid].sum() + rows[mid:].sum()) / (L * L)
 
 
 def genus_one_propagator_momentum(
@@ -379,8 +385,11 @@ def kronecker_eisenstein_Dn(
             L = _next_5_smooth(n * R + 1)
             _check_array_size(L * (L // 2 + 1), 8, f"the D_{n} transform at R = {R}")
             W_hat = _half_transform(_weight_grid(t, R), L)
-            P = W_hat * W_hat
-            value = _torus_sum(P * W_hat if n == 3 else P * P)
+            if n == 3:
+                value = _torus_sum(W_hat * W_hat, W_hat)
+            else:
+                P = np.square(W_hat, out=W_hat)
+                value = _torus_sum(P, P)
     return _finite_sum(value, _dn_tail(n, t, R), f"D_{n}", t)
 
 
@@ -458,6 +467,24 @@ def _fundamental_cycles(edges):
     return verts, cycles
 
 
+@functools.cache
+def _topology(n: tuple) -> tuple:
+    """(bridge, loops, k1, k2) of the graph with multiplicities n: whether
+    some edge lies outside every cycle, the number of independent loops
+    and, for two loops, the edge counts k1 on q1 alone and k2 on q2 alone.
+
+    A pure function of n, so it is cached; `graph_D` caps the weight at 6
+    first, so at most 923 tuples reach it.
+    """
+    edges = GraphMultiplicities(n).edges()
+    _, cycles = _fundamental_cycles(edges)
+    bridge = any(all(c[i] == 0 for c in cycles) for i in range(len(edges)))
+    # each chord lies on its own cycle only, so the q1 and q2 classes are
+    # never empty; the other edges share one path and carry q1 +- q2
+    k1, k2 = (cycles[1].count(0), cycles[0].count(0)) if len(cycles) == 2 else (0, 0)
+    return bridge, len(cycles), k1, k2
+
+
 def graph_D(
     mult: GraphMultiplicities,
     tau: ModularPoint,
@@ -466,33 +493,33 @@ def graph_D(
     """General four-puncture Kronecker-Eisenstein graph sum.
 
     Vertex momentum conservation is solved by a spanning-forest cycle
-    basis; bridge edges are forced to p = 0 and, under the p != 0
-    convention, make the whole sum vanish (flagged in `note`).  Banana
-    topologies (all links between one pair) are D_n.  Otherwise edges
-    with the same cycle vector (up to sign) carry the same momentum, so
-    a one-loop graph of weight k is sum_q W(q)^k.  A two-loop graph with
+    basis (`_topology`); bridge edges are forced to p = 0 and, under the
+    p != 0 convention, make the whole sum vanish (flagged in `note`).
+    Banana topologies (all links between one pair) are D_n.  Otherwise
+    edges with the same cycle vector (up to sign) carry the same momentum,
+    so a one-loop graph of weight k is sum_q W(q)^k.  A two-loop graph with
     k1 edges on q1, k2 on q2 and k3 on q1 +- q2 is the Parseval sum of
     three transforms (`_half_transform`), of W^k1 and W^k2 on the
     (2R+1)^2 box of q1 and q2 and of W^k3 on the (4R+1)^2 box that holds
-    every q1 +- q2 uncut, with L the next 5-smooth length >= 4R + 1.  With
-    k3 = 0 (loops that are disjoint or meet at one vertex) that sum is
-    exactly sum W^k1 * sum W^k2, taken with no FFT.
+    every q1 +- q2 uncut, with L the next 5-smooth length >= 4R + 1.  The
+    small box is a slice of the large box's weight grid, and W^k1 and W^k2
+    (k1 != k2) are transformed in one stacked call.  With k3 = 0 (loops
+    that are disjoint or meet at one vertex) that sum is exactly
+    sum W^k1 * sum W^k2, taken with no FFT.
     Graphs with three or more loops, bananas aside, raise WeightTooLarge.
     """
     if mult.weight > 6:
         raise WeightTooLarge("total weight capped at 6")
     R = _cutoff(spec.R)
-    edges = mult.edges()
-    verts, cycles = _fundamental_cycles(edges)
+    bridge, loops, k1, k2 = _topology(mult.n)
 
     # a bridge, an edge outside every cycle, carries zero momentum
-    if any(all(c[i] == 0 for c in cycles) for i in range(len(edges))):
+    if bridge:
         return MaassValue(value=0.0, est_error=0.0, note="zero-mode-excluded")
 
     if mult.n.count(0) == 5:
         return kronecker_eisenstein_Dn(mult.weight, tau, LatticeSumSpec(R=spec.R))
 
-    loops = len(cycles)
     if loops > 2:
         raise WeightTooLarge(
             f"{loops} independent loops: only bananas and graphs with at most two are summed"
@@ -503,23 +530,22 @@ def graph_D(
         if loops == 1:
             value = _half_sum(_weight_grid(t, R) ** mult.weight)
         else:
-            # each chord lies on its own cycle only, so the q1 and q2 classes
-            # are never empty; the other edges share one path and carry q1 +- q2
-            k1 = cycles[1].count(0)
-            k2 = cycles[0].count(0)
             k3 = mult.weight - k1 - k2
             if k3 == 0:
                 W = _weight_grid(t, R)
                 value = _half_sum(W**k1) * _half_sum(W**k2)
             else:
                 L = _next_5_smooth(4 * R + 1)
-                # the (4R+1)^2 box's transform holds its rfft, (2R+1) x (L/2+1)
-                # complex, and its output, L x (L/2+1) real: about L^2 floats
-                _check_array_size(L * L, 8, f"the two-loop convolution at R = {R}")
-                W = _weight_grid(t, R)
-                A = _half_transform(W**k1, L)
-                B = A if k2 == k1 else _half_transform(W**k2, L)
-                value = _torus_sum(A * B * _half_transform(_weight_grid(t, 2 * R) ** k3, L))
+                # the largest array is the stacked transform of W^k1 and W^k2,
+                # 2 x (L//2 + 1) x L floats
+                _check_array_size(2 * (L // 2 + 1) * L, 8, f"the two-loop convolution at R = {R}")
+                W2 = _weight_grid(t, 2 * R)
+                W = W2[: R + 1, R : 3 * R + 1]  # the (2R+1)^2 box: _weight_grid(t, R) bit for bit
+                if k1 == k2:
+                    A = B = _half_transform(W**k1, L)
+                else:
+                    A, B = _half_transform(np.stack((W**k1, W**k2)), L)
+                value = _torus_sum(A * B, _half_transform(W2**k3, L))
     return _finite_sum(value, _dn_tail(mult.weight, t, R), f"the graph sum {mult.n}", t)
 
 

@@ -264,12 +264,16 @@ def _besselk(nu: float, x):
 
 
 def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
-    """E_s by the Bessel--Fourier expansion; valid for all real s != 1.
+    """E_s by the Bessel--Fourier expansion, for real s other than 1 and
+    1/2 (PoleAtS).  At s = 1/2 the poles of zeta(2s) and xi(2s - 1) cancel,
+    and that limit is not taken.
 
     Normalized to the full lattice sum sum' y^s/|p|^(2s), i.e. 2*zeta(2s)
     times the primitive (coprime-pair) Eisenstein series whose expansion
-    has leading term y^s.  E_s is SL(2,Z)-invariant, so tau is first
-    folded into the fundamental domain, where Im tau >= sqrt(3)/2.
+    has leading term y^s.  Every other mode carries 1/xi(2s), which
+    vanishes at the pole s = 0 of xi(2s), so E_0 = 2 zeta(0) = -1.  E_s is
+    SL(2,Z)-invariant, so tau is first folded into the fundamental domain,
+    where Im tau >= sqrt(3)/2.
     """
     _check_s(s)
     if s == 1:
@@ -277,7 +281,8 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     tau = fold_to_fundamental(tau)
     x, y = tau.real, tau.imag
     norm = 2 * riemann_zeta(2 * s)
-    xi2s = completed_zeta(2 * s)
+    # xi(2s) has its pole at s = 0, where every mode divided by it vanishes
+    xi2s = math.inf if s == 0 else completed_zeta(2 * s)
     try:  # the zero modes
         modes = [y**s, completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)]
     except OverflowError:

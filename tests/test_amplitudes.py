@@ -12,6 +12,9 @@ from halphen_lab.amplitudes import (
     GraphMultiplicities,
     Mandelstam,
     _fundamental_cycles,
+    _half_transform,
+    _topology,
+    _torus_sum,
     _weight_grid,
     _zeta_coef,
     decomposition_probe,
@@ -268,6 +271,58 @@ class TestWeightGrid:
         ref = float(np.sum(_meshgrid_weight_grid(tau, R) ** 2))
         got = kronecker_eisenstein_Dn(2, ModularPoint(tau), LatticeSumSpec(R=R))
         assert got.value == pytest.approx(ref, rel=1e-14, abs=0)
+
+
+def _torus_grid(Wh, L):
+    """Reference: the even half-plane grid Wh mirrored to the full (2R+1)^2
+    box and wrapped onto the L x L torus, p = (m, n) at (m mod L, n mod L)."""
+    R = Wh.shape[0] - 1
+    full = np.concatenate([Wh[:0:-1, ::-1], Wh])
+    T = np.zeros((L, L))
+    k = np.arange(-R, R + 1) % L
+    T[np.ix_(k, k)] = full
+    return T
+
+
+class TestParsevalKernel:
+    @pytest.mark.parametrize("R", [2, 7, 20])
+    @pytest.mark.parametrize("extra", [1, 2])  # odd and even L
+    def test_stacked_transform_is_per_grid_transform(self, R, extra):
+        W = _weight_grid(0.3 + 1.1j, R)
+        L = 4 * R + extra
+        stacked = _half_transform(np.stack((W**2, W**3)), L)
+        assert stacked.shape == (2, L // 2 + 1, L)
+        assert np.array_equal(stacked[0], _half_transform(W**2, L))
+        assert np.array_equal(stacked[1], _half_transform(W**3, L))
+
+    @pytest.mark.parametrize("tau", [2j, -0.27 + 1.4j])
+    @pytest.mark.parametrize("R, L", [(3, 7), (3, 8), (5, 16), (5, 17), (8, 25), (8, 30)])
+    def test_torus_sum_is_full_torus_sum(self, tau, R, L):
+        # the full-torus transform by fft2 knows nothing of the half-plane
+        # layout, the reflected k_m or the mirror weights of the rows
+        W = _weight_grid(tau, R)
+        X_full = np.fft.fft2(_torus_grid(W, L)).real
+        Y_full = np.fft.fft2(_torus_grid(W**2, L)).real
+        ref = float(np.sum(X_full * Y_full)) / L**2
+        got = _torus_sum(_half_transform(W, L), _half_transform(W**2, L))
+        assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("tau", [2j, -0.27 + 1.4j])
+    @pytest.mark.parametrize("R", [2, 8, 20])
+    def test_twice_cutoff_grid_slice_is_weight_grid(self, tau, R):
+        # graph_D takes the (2R+1)^2 box of q1 and q2 from the 4R box's grid
+        box = _weight_grid(tau, 2 * R)[: R + 1, R : 3 * R + 1]
+        assert np.array_equal(box, _weight_grid(tau, R))
+
+    def test_cached_topology_is_fresh_classification(self):
+        for mult in itertools.product(range(7), repeat=6):
+            if not 1 <= sum(mult) <= 6:
+                continue
+            edges = GraphMultiplicities(mult).edges()
+            _, cycles = _fundamental_cycles(edges)
+            bridge = any(all(c[i] == 0 for c in cycles) for i in range(len(edges)))
+            k = (cycles[1].count(0), cycles[0].count(0)) if len(cycles) == 2 else (0, 0)
+            assert _topology(mult) == (bridge, len(cycles), *k), mult
 
 
 class TestDn:

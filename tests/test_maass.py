@@ -263,6 +263,18 @@ class TestFourier:
         with pytest.raises(PoleAtS):
             eisenstein_fourier(1.0, 1j)
 
+    @pytest.mark.parametrize("tau", [1.1j, 0.3 + 2j, -0.45 + 0.9j])
+    def test_s_zero_is_two_zeta_zero(self, tau):
+        # every mode but y^s carries 1/xi(2s), which vanishes at s = 0, so
+        # E_0 = 2 zeta(0) = -1 exactly, and E_s is continuous there
+        assert eisenstein_fourier(0.0, tau).value == -1.0
+        for s in (1e-7, -1e-7):
+            assert abs(eisenstein_fourier(s, tau).value + 1) <= 1e-6
+
+    def test_one_half_is_still_a_pole(self):
+        with pytest.raises(PoleAtS):
+            eisenstein_fourier(0.5, 1.1j)
+
     @pytest.mark.parametrize("s", [0.25, 0.3, -0.5, -1.2, -2.3])
     def test_functional_equation_below_one_half(self, s):
         # xi(2s) E_s / (2 zeta(2s)) is the completed primitive series,
