@@ -3,10 +3,16 @@
 Genus zero: the closed-form Gamma-ratio amplitude, its odd-zeta
 exponential expansion, and the sigma_n power-sum recursion.  Genus one:
 the torus propagator in theta and momentum-space forms, and the
-Kronecker-Eisenstein graph sums D_n with their Eisenstein reductions
+Kronecker-Eisenstein graph sums D_n and the two-loop graph sums, with the
+Eisenstein reductions
 
     D_2 = E_2 / (4 pi)^2,
-    D_3 = E_3 / (4 pi)^3 + zeta(3) / 64.
+    D_3 = E_3 / (4 pi)^3 + zeta(3) / 64,
+    C_{2,2,1} = ((2/5) E_5 / pi^5 + zeta(5) / 30) / 4^5
+
+(the last from D'Hoker--Green--Vanhove, arXiv:1502.06698).  D_3 and
+C_{2,2,1} are evaluated by their reductions; every other sum is summed on
+the momentum lattice.
 
 Conventions: lattice momenta p = m + n tau exclude the origin; every
 propagator carries tau_2 / (4 pi |p|^2).  The 1/(4 pi) normalization is
@@ -350,12 +356,40 @@ def _dn_tail(n: int, tau: complex, R: int) -> float:
         return math.inf
 
 
-def _finite_sum(value: float, est_error: float, what: str, tau: complex) -> MaassValue:
+def _finite_sum(value: float, est_error: float, what: str, tau: complex,
+                note: str = "") -> MaassValue:
     """The momentum sum `what` at tau with its bar, unless either overflows a
     float (DomainError): the one check of D_n and graph_D."""
     if not (math.isfinite(value) and math.isfinite(est_error)):
         raise DomainError(f"{what} at tau = {tau} overflows a float")
-    return MaassValue(value=value, est_error=est_error)
+    return MaassValue(value=value, est_error=est_error, note=note)
+
+
+# Eisenstein reductions a E_s + b zeta(s): (s, a, b, the formula).  The
+# sums of D'Hoker--Green--Vanhove are 4^weight times these, and their E_s
+# is E_s / pi^s here.
+_D3 = (3, (4 * math.pi) ** -3, 1 / 64, "D_3 = E_3/(4 pi)^3 + zeta(3)/64, no cutoff")
+_C221 = (5, 0.4 / (4 * math.pi) ** 5, 1 / (30 * 4**5),
+         "C_2,2,1 = ((2/5) E_5/pi^5 + zeta(5)/30)/4^5, no cutoff")
+
+# the relative error of riemann_zeta at the s of the reductions: against
+# mpmath, riemann_zeta(3) and riemann_zeta(5) are 5.4 and 2.5 2^-53 off
+ZETA_ERROR = 8 * 2.0**-53
+
+
+def _eisenstein_reduction(reduction, tau: complex, what: str) -> MaassValue:
+    """a E_s(tau) + b zeta(s) for reduction = (s, a, b, formula), with
+    `note` the formula.  The bar adds the scaled bar of `eisenstein_fourier`,
+    the error of `riemann_zeta` and 8 roundings of each term: the rounded
+    coefficients (pi^5 among them), the two products and the sum."""
+    s, a, b, formula = reduction
+    try:
+        E = eisenstein_fourier(s, tau)
+    except DomainError:  # E_s overflows a float, so does the sum: `_finite_sum` names it
+        E = MaassValue(math.inf)
+    e_term, z_term = a * E.value, b * riemann_zeta(s)
+    est_error = a * E.est_error + ZETA_ERROR * z_term + 8 * 2.0**-53 * (abs(e_term) + z_term)
+    return _finite_sum(e_term + z_term, est_error, what, tau, formula)
 
 
 def kronecker_eisenstein_Dn(
@@ -364,20 +398,32 @@ def kronecker_eisenstein_Dn(
     spec: LatticeSumSpec = LatticeSumSpec(),
 ) -> MaassValue:
     """D_n = sum over p_1 + ... + p_n = 0 (all p_i != 0) of
-    prod tau_2 / (4 pi |p_i|^2), every p_i in the (2R+1)^2 box.
+    prod tau_2 / (4 pi |p_i|^2).
 
-    D_2 is sum W^2 over the weight grid.  D_3 and D_4 are Parseval sums
-    sum_k W_hat(k)^n / L^2 over one transform (`_half_transform`), exact
-    for L > nR; L is the next 5-smooth length (2^a 3^b 5^c) at or above
-    nR + 1, where numpy's FFT is fast.  n in {2, 3, 4} are supported
-    (higher n has no reduction to check and explodes in cost).
+    D_3 is its Eisenstein reduction E_3/(4 pi)^3 + zeta(3)/64, accurate to
+    about 1e-15 at every tau; spec.R is checked but not used, and `note`
+    says so.  D_2 and D_4 are box sums at the cutoff R (`_dn_lattice`).
+    n in {2, 3, 4} are supported (higher n has no reduction to check and
+    explodes in cost).
     """
     if n < 2:
         raise DivergentParameter("D_n needs n >= 2")
     if n > 4:
         raise WeightTooLarge("D_n implemented for n in {2, 3, 4}")
-    t = tau.tau
     R = _cutoff(spec.R)
+    if n == 3:
+        return _eisenstein_reduction(_D3, tau.tau, "D_3")
+    return _dn_lattice(n, tau.tau, R)
+
+
+def _dn_lattice(n: int, t: complex, R: int) -> MaassValue:
+    """D_n at tau = t with every p_i in the (2R+1)^2 box.
+
+    D_2 is sum W^2 over the weight grid.  D_3 and D_4 are Parseval sums
+    sum_k W_hat(k)^n / L^2 over one transform (`_half_transform`), exact
+    for L > nR; L is the next 5-smooth length (2^a 3^b 5^c) at or above
+    nR + 1, where numpy's FFT is fast.
+    """
     with np.errstate(over="ignore"):  # an overflowing sum is caught by `_finite_sum`
         if n == 2:
             value = _half_sum(_weight_grid(t, R) ** 2)
@@ -495,18 +541,13 @@ def graph_D(
     Vertex momentum conservation is solved by a spanning-forest cycle
     basis (`_topology`); bridge edges are forced to p = 0 and, under the
     p != 0 convention, make the whole sum vanish (flagged in `note`).
-    Banana topologies (all links between one pair) are D_n.  Otherwise
-    edges with the same cycle vector (up to sign) carry the same momentum,
-    so a one-loop graph of weight k is sum_q W(q)^k.  A two-loop graph with
-    k1 edges on q1, k2 on q2 and k3 on q1 +- q2 is the Parseval sum of
-    three transforms (`_half_transform`), of W^k1 and W^k2 on the
-    (2R+1)^2 box of q1 and q2 and of W^k3 on the (4R+1)^2 box that holds
-    every q1 +- q2 uncut, with L the next 5-smooth length >= 4R + 1.  The
-    small box is a slice of the large box's weight grid, and W^k1 and W^k2
-    (k1 != k2) are transformed in one stacked call.  With k3 = 0 (loops
-    that are disjoint or meet at one vertex) that sum is exactly
-    sum W^k1 * sum W^k2, taken with no FFT.
-    Graphs with three or more loops, bananas aside, raise WeightTooLarge.
+    Banana topologies (all links between one pair) are D_n.  A two-loop
+    graph with k1 edges on q1 alone, k2 on q2 alone and k3 on q1 +- q2,
+    (k1, k2, k3) a permutation of (1, 2, 2), is C_{2,2,1}: its Eisenstein
+    reduction, accurate to about 1e-15, with spec.R checked but not used
+    and the formula in `note`.  Every other one- or two-loop graph is
+    summed at the cutoff R (`_graph_lattice`).  Graphs with three or more
+    loops, bananas aside, raise WeightTooLarge.
     """
     if mult.weight > 6:
         raise WeightTooLarge("total weight capped at 6")
@@ -525,7 +566,27 @@ def graph_D(
             f"{loops} independent loops: only bananas and graphs with at most two are summed"
         )
 
-    t = tau.tau
+    if loops == 2 and sorted((k1, k2, mult.weight - k1 - k2)) == [1, 2, 2]:
+        return _eisenstein_reduction(_C221, tau.tau, f"the graph sum {mult.n}")
+    return _graph_lattice(mult, tau.tau, R)
+
+
+def _graph_lattice(mult: GraphMultiplicities, t: complex, R: int) -> MaassValue:
+    """The sum of a one- or two-loop graph with no bridge at tau = t, each
+    loop momentum in the (2R+1)^2 box.
+
+    Edges with the same cycle vector (up to sign) carry the same momentum,
+    so a one-loop graph of weight k is sum_q W(q)^k.  A two-loop graph with
+    k1 edges on q1, k2 on q2 and k3 on q1 +- q2 is the Parseval sum of
+    three transforms (`_half_transform`), of W^k1 and W^k2 on the
+    (2R+1)^2 box of q1 and q2 and of W^k3 on the (4R+1)^2 box that holds
+    every q1 +- q2 uncut, with L the next 5-smooth length >= 4R + 1.  The
+    small box is a slice of the large box's weight grid, and W^k1 and W^k2
+    (k1 != k2) are transformed in one stacked call.  With k3 = 0 (loops
+    that are disjoint or meet at one vertex) that sum is exactly
+    sum W^k1 * sum W^k2, taken with no FFT.
+    """
+    _, loops, k1, k2 = _topology(mult.n)
     with np.errstate(over="ignore"):  # an overflowing sum is caught by `_finite_sum`
         if loops == 1:
             value = _half_sum(_weight_grid(t, R) ** mult.weight)

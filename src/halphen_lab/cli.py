@@ -211,6 +211,7 @@ def _cmd_dsum(args):
             "cutoff": args.cutoff,
             "value": val.value,
             "est_error": val.est_error,
+            "note": val.note,
             "convention": "prod tau2/(4*pi*|p|^2), p != 0 on every edge",
         },
         args.out,

@@ -45,7 +45,9 @@ class LatticeSumSpec:
 
     R is the largest |m + n tau| of the Eisenstein lattice sum and the
     half-width of the square momentum grid of the D_n and graph sums; each
-    sum estimates its own dropped tail.
+    sum estimates its own dropped tail.  D_3 and C_{2,2,1}, which the
+    amplitudes module takes from their Eisenstein reductions, check R but
+    do not use it.
     """
 
     R: float = 120.0
@@ -263,6 +265,30 @@ def _besselk(nu: float, x):
     return np.exp(-x) * h * (0.5 + f.sum(axis=1))
 
 
+@functools.lru_cache(maxsize=256)
+def _fourier_factors(s: float, n_max: int) -> tuple:
+    """The factors of `eisenstein_fourier` that depend on s alone:
+    (2 zeta(2s), xi(2s), xi(2s - 1)/xi(2s), ((sigma_{2s-1}(n), n^(s-1/2))
+    for n = 1 .. n_max)).
+
+    Cached on (s, n_max), never on tau.  lru_cache keeps no exception, so
+    PoleAtS at s = 1/2 is raised on every call.  A pair that overflows a
+    float (sigma_{2s-1}(n) from about s = 105 on) is stored as (inf, inf):
+    E_s overflows (DomainError) only if its mode n is reached.
+    """
+    norm = 2 * riemann_zeta(2 * s)
+    # xi(2s) has its pole at s = 0, where every mode divided by it vanishes
+    xi2s = math.inf if s == 0 else completed_zeta(2 * s)
+    ratio = completed_zeta(2 * s - 1) / xi2s
+    factors = []
+    for n in range(1, n_max + 1):
+        try:
+            factors.append((divisor_sigma(2 * s - 1, n), n ** (s - 0.5)))
+        except OverflowError:
+            factors.append((math.inf, math.inf))
+    return norm, xi2s, ratio, tuple(factors)
+
+
 def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     """E_s by the Bessel--Fourier expansion, for real s other than 1 and
     1/2 (PoleAtS).  At s = 1/2 the poles of zeta(2s) and xi(2s - 1) cancel,
@@ -273,35 +299,27 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     has leading term y^s.  Every other mode carries 1/xi(2s), which
     vanishes at the pole s = 0 of xi(2s), so E_0 = 2 zeta(0) = -1.  E_s is
     SL(2,Z)-invariant, so tau is first folded into the fundamental domain,
-    where Im tau >= sqrt(3)/2.
+    where Im tau >= sqrt(3)/2.  The factors that depend on s alone come
+    from `_fourier_factors`, computed once per (s, n_max).
     """
     _check_s(s)
     if s == 1:
         raise PoleAtS("E_s has a pole at s = 1")
     tau = fold_to_fundamental(tau)
     x, y = tau.real, tau.imag
-    norm = 2 * riemann_zeta(2 * s)
-    # xi(2s) has its pole at s = 0, where every mode divided by it vanishes
-    xi2s = math.inf if s == 0 else completed_zeta(2 * s)
+    norm, xi2s, ratio, factors = _fourier_factors(s, n_max)
     try:  # the zero modes
-        modes = [y**s, completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)]
+        modes = [y**s, ratio * y ** (1 - s)]
     except OverflowError:
         modes = [math.inf]
     last_term = 0.0
     besselk = _besselk(s - 0.5, 2 * math.pi * np.arange(1, n_max + 1) * y)
-    for n, bessel in enumerate(besselk.tolist(), 1):
+    for n, (bessel, (sigma, power)) in enumerate(zip(besselk.tolist(), factors), 1):
         if bessel == 0.0 or not math.isfinite(bessel):
             # underflow of the exponentially small tail: legitimately drop
             last_term = 0.0
             break
-        coef = (
-            4
-            * math.sqrt(y)
-            * divisor_sigma(2 * s - 1, n)
-            / n ** (s - 0.5)
-            * bessel
-            / (2 * xi2s)
-        )
+        coef = 4 * math.sqrt(y) * sigma / power * bessel / (2 * xi2s)
         modes.append(coef * 2 * math.cos(2 * math.pi * n * x))
         last_term = abs(coef) * 2
     total = 0.0

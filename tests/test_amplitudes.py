@@ -3,15 +3,19 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 from halphen_lab.amplitudes import (
     MAX_TERMS,
+    ZETA_ERROR,
     GraphMultiplicities,
     Mandelstam,
+    _dn_lattice,
     _fundamental_cycles,
+    _graph_lattice,
     _half_transform,
     _topology,
     _torus_sum,
@@ -359,7 +363,7 @@ class TestDn:
     @pytest.mark.parametrize("R", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_enumeration(self, n, R, tau):
-        got = kronecker_eisenstein_Dn(n, ModularPoint(tau), LatticeSumSpec(R=R))
+        got = _dn_lattice(n, tau, R)
         assert got.value == pytest.approx(_enumerated_dn(n, tau, R), rel=1e-12, abs=0)
 
     def test_non_integral_cutoff_rejected(self):
@@ -434,7 +438,7 @@ def _enumerated_graph_sum(mult, tau, R):
 class TestGraphD:
     def test_cutoff_above_the_array_budget(self):
         with pytest.raises(CutoffTooLarge, match="two-loop convolution"):
-            graph_D(GraphMultiplicities((1, 1, 1, 1, 1, 0)), ModularPoint(2j),
+            graph_D(GraphMultiplicities((2, 1, 0, 1, 0, 0)), ModularPoint(2j),
                     LatticeSumSpec(R=2000))
 
     def test_cycles_conserve_momentum(self):
@@ -475,7 +479,7 @@ class TestGraphD:
                         with pytest.raises(WeightTooLarge):
                             graph_D(GraphMultiplicities(mult), tau, spec)
                     else:
-                        g = graph_D(GraphMultiplicities(mult), tau, spec)
+                        g = _graph_lattice(GraphMultiplicities(mult), tau.tau, R)
                         ref = _enumerated_graph_sum(mult, tau.tau, R)
                         assert g.value == pytest.approx(ref, rel=1e-12, abs=0), mult
                         summed += 1
@@ -545,6 +549,112 @@ class TestGraphD:
             GraphMultiplicities((1, 2, 3))
         with pytest.raises(DomainError):
             GraphMultiplicities((0, 0, 0, 0, 0, 0))
+
+
+def _mp_eisenstein(s, tau):
+    """Oracle: E_s(tau) = sum' y^s / |m + n tau|^(2s) by its Fourier--Bessel
+    expansion in 30-digit arithmetic, at the image of tau in the
+    fundamental domain, folded in the same arithmetic."""
+    with mp.workdps(30):
+        t = mp.mpc(tau)
+        while True:
+            t -= mp.nint(t.real)
+            if abs(t) >= 1:
+                break
+            t = -1 / t
+        s, x, y = mp.mpf(s), t.real, t.imag
+        total = 2 * mp.zeta(2 * s) * y**s + 2 * mp.sqrt(mp.pi) * mp.gamma(s - 0.5) * mp.zeta(
+            2 * s - 1
+        ) * y ** (1 - s) / mp.gamma(s)
+        for n in range(1, 41):  # K_(s-1/2)(2 pi 40 y) < e^-200 at y >= sqrt(3)/2
+            sigma = sum(mp.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
+            total += (
+                8 * mp.pi**s * mp.sqrt(y) / mp.gamma(s) * mp.mpf(n) ** (s - 0.5)
+                * sigma * mp.besselk(s - 0.5, 2 * mp.pi * n * y) * mp.cos(2 * mp.pi * n * x)
+            )
+        return total
+
+
+def _mp_d3(tau):
+    with mp.workdps(30):
+        return _mp_eisenstein(3, tau) / (4 * mp.pi) ** 3 + mp.zeta(3) / 64
+
+
+def _mp_c221(tau):
+    with mp.workdps(30):
+        return (mp.mpf(2) / 5 * _mp_eisenstein(5, tau) / mp.pi**5 + mp.zeta(5) / 30) / 4**5
+
+
+def _reduction_taus():
+    """24 seeded tau in the fundamental domain, Im tau up to 3, each with
+    its images tau + 1 and -1/tau, and 20.3 + 1.1i."""
+    rng = np.random.default_rng(41)
+    taus = []
+    while len(taus) < 3 * 24:
+        t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.86, 3.0))
+        if abs(t) >= 1:
+            taus += [t, t + 1, -1 / t]
+    return taus + [20.3 + 1.1j]
+
+
+C221 = GraphMultiplicities((1, 1, 1, 1, 1, 0))
+
+
+class TestEisensteinReductions:
+    @pytest.mark.parametrize("s", [3, 5])
+    def test_zeta_error_bounds_riemann_zeta(self, s):
+        with mp.workdps(30):
+            assert abs(riemann_zeta(s) - mp.zeta(s)) <= ZETA_ERROR * riemann_zeta(s)
+
+    def test_values_within_their_bars(self):
+        for tau in _reduction_taus():
+            mt = ModularPoint(tau)
+            for got, ref in ((kronecker_eisenstein_Dn(3, mt), _mp_d3(tau)),
+                             (graph_D(C221, mt), _mp_c221(tau))):
+                with mp.workdps(30):
+                    assert abs(got.value - ref) <= got.est_error, (tau, got, ref)
+                assert got.est_error <= 1e-14 * got.value
+
+    def test_cutoff_is_checked_but_unused(self):
+        tau = ModularPoint(0.3 + 1.1j)
+        for R in (2, 8, 120):
+            spec = LatticeSumSpec(R=R)
+            assert kronecker_eisenstein_Dn(3, tau, spec) == kronecker_eisenstein_Dn(3, tau)
+            assert graph_D(C221, tau, spec) == graph_D(C221, tau)
+        assert kronecker_eisenstein_Dn(3, tau).note.startswith("D_3 = E_3/(4 pi)^3")
+        assert graph_D(C221, tau).note.startswith("C_2,2,1 = ((2/5) E_5/pi^5")
+        with pytest.raises(DomainError, match="37.9"):
+            kronecker_eisenstein_Dn(3, tau, LatticeSumSpec(R=37.9))
+        with pytest.raises(DomainError, match="37.9"):
+            graph_D(C221, tau, LatticeSumSpec(R=37.9))
+
+    def test_weight_three_banana_is_d3(self):
+        for tau in (ModularPoint(2j), ModularPoint(-0.27 + 1.4j)):
+            d3 = kronecker_eisenstein_Dn(3, tau)
+            for i in range(6):
+                mult = [0] * 6
+                mult[i] = 3
+                assert graph_D(GraphMultiplicities(tuple(mult)), tau) == d3
+
+    def test_every_221_graph_takes_the_reduction(self):
+        # the six graphs of K_4 less one edge: a theta graph with paths of
+        # 1, 2 and 2 edges, in every labelling
+        tau = ModularPoint(-0.27 + 1.4j)
+        R = 40
+        ref = graph_D(C221, tau)
+        found = 0
+        for mult in itertools.product(range(6), repeat=6):
+            if sum(mult) != 5:
+                continue
+            bridge, loops, k1, k2 = _topology(mult)
+            if bridge or loops != 2 or sorted((k1, k2, 5 - k1 - k2)) != [1, 2, 2]:
+                continue
+            found += 1
+            graph = GraphMultiplicities(mult)
+            assert graph_D(graph, tau, LatticeSumSpec(R=R)) == ref
+            box = _graph_lattice(graph, tau.tau, R).value
+            assert box == pytest.approx(ref.value, rel=0.05 * (1 + math.log(R)) / R**2, abs=0)
+        assert found == 6
 
 
 class TestDecompositionProbe:

@@ -195,6 +195,12 @@ class TestDsum:
         e3 = json.loads(capsys.readouterr().out)["fourier"]["value"]
         target = e3 / (4 * math.pi) ** 3 + zeta(3) / 64
         assert abs(payload["value"] - target) < 1e-3
+        assert payload["note"] == "D_3 = E_3/(4 pi)^3 + zeta(3)/64, no cutoff"
+
+    def test_lattice_sum_has_no_note(self, capsys):
+        code, out = run(capsys, "dsum", "--n", "2", "--tau", "2i", "--cutoff", "8")
+        assert code == 0
+        assert json.loads(out)["note"] == ""
 
 
 class TestGraphd:
@@ -206,6 +212,13 @@ class TestGraphd:
         payload = json.loads(out)
         assert payload["value"] == 0.0
         assert payload["note"] == "zero-mode-excluded"
+
+    def test_c221_note(self, capsys):
+        code, out = run(capsys, "graphd", "--mult", "1,1,1,1,1,0", "--tau", "1.1i")
+        assert code == 0
+        assert json.loads(out)["note"] == (
+            "C_2,2,1 = ((2/5) E_5/pi^5 + zeta(5)/30)/4^5, no cutoff"
+        )
 
 
 class TestAmplitude:
@@ -278,7 +291,7 @@ class TestBadNumbers:
          "StepUnderflow: first step is 0"),
         (["dsum", "--n", "2", "--tau", "2i", "--cutoff", "100000"], 2,
          "CutoffTooLarge: the momentum grid at R = 100000 would build an array of up to 149 GiB"),
-        (["graphd", "--mult", "1,1,1,1,1,0", "--tau", "2i", "--cutoff", "2000"], 2,
+        (["graphd", "--mult", "2,1,0,1,0,0", "--tau", "2i", "--cutoff", "2000"], 2,
          "CutoffTooLarge: the two-loop convolution at R = 2000"),
         (["dsum", "--n", "4", "--tau", "2i", "--cutoff", "3000"], 2,
          "CutoffTooLarge: the D_4 transform at R = 3000"),
@@ -308,6 +321,10 @@ class TestBadNumbers:
          "DomainError: the slice diagnostics at T = 1.0 leave the float range"),
         (["flow", "--init", "1e-160,1e-160,1e-160", "--t0", "1", "--t1", "2"], 2,
          "DomainError: the volume rate residual is not finite"),
+        (["dsum", "--n", "3", "--tau", "1e200i", "--cutoff", "4"], 2,
+         "DomainError: D_3 at tau = 1e+200j overflows a float"),
+        (["graphd", "--mult", "1,1,1,1,1,0", "--tau", "1e200i"], 2,
+         "DomainError: the graph sum (1, 1, 1, 1, 1, 0) at tau = 1e+200j overflows a float"),
     ])
     def test_typed_failure(self, capsys, argv, code, message):
         assert main(argv) == code

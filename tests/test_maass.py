@@ -14,6 +14,7 @@ from halphen_lab.errors import (
 from halphen_lab.maass import (
     LatticeSumSpec,
     _besselk,
+    _fourier_factors,
     completed_zeta,
     divisor_sigma,
     eisenstein_fourier,
@@ -287,6 +288,62 @@ class TestFourier:
         for tau in (1j, 0.1 + 1.1j, -0.3 + 2.0j):
             ref = completed(1 - s, tau)
             assert abs(completed(s, tau) - ref) <= 1e-14 * abs(ref)
+
+    def test_cached_factors_keep_the_bits(self):
+        # 40 seeded (s, tau), s = 0, negative s and s >= 55 among them; at
+        # s = 120 the expansion overflows (DomainError) on every run
+        rng = np.random.default_rng(43)
+        s_list = [0.0, -1.0, -2.3, 55.0, 80.0, 120.0] + list(rng.uniform(-6.0, 60.0, 34))
+        cases = [(float(s), complex(rng.uniform(-2, 2), rng.uniform(0.05, 3.0)),
+                  int(rng.choice([0, 1, 30, 40]))) for s in s_list]
+
+        def uncached(s, tau, n_max):
+            # the expansion with every s-only factor rebuilt on each call
+            tau = fold_to_fundamental(tau)
+            x, y = tau.real, tau.imag
+            norm = 2 * riemann_zeta(2 * s)
+            xi2s = math.inf if s == 0 else completed_zeta(2 * s)
+            modes = [y**s, completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)]
+            last = 0.0
+            bessel = _besselk(s - 0.5, 2 * math.pi * np.arange(1, n_max + 1) * y).tolist()
+            for n, k in enumerate(bessel, 1):
+                if k == 0.0 or not math.isfinite(k):
+                    last = 0.0
+                    break
+                coef = 4 * math.sqrt(y) * divisor_sigma(2 * s - 1, n) / n ** (s - 0.5) * k / (
+                    2 * xi2s)
+                modes.append(coef * 2 * math.cos(2 * math.pi * n * x))
+                last = abs(coef) * 2
+            total = 0.0
+            for mode in modes:
+                total += mode
+            rounding = len(modes) * 2.0**-53 * sum(map(abs, modes))
+            return norm * total, abs(norm) * (last + rounding)
+
+        def values():
+            out = []
+            for s, tau, n_max in cases:
+                try:
+                    v = eisenstein_fourier(s, tau, n_max)
+                    out.append((v.value, v.est_error))
+                except DomainError as exc:
+                    out.append(str(exc))
+            return out
+
+        _fourier_factors.cache_clear()
+        cold = values()
+        warm = values()
+        assert _fourier_factors.cache_info().hits >= len(cases)
+        assert warm == cold
+        assert [i for i, v in enumerate(cold) if isinstance(v, str)] == [5]  # s = 120
+        for case, got in zip(cases, cold):
+            if not isinstance(got, str):
+                assert got == uncached(*case), case
+
+    def test_pole_is_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(PoleAtS):
+                eisenstein_fourier(0.5, 1.1j)
 
     @pytest.mark.parametrize("s", [1.5, 2.0])
     def test_folds_tau_near_real_axis(self, s):
