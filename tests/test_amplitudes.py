@@ -344,7 +344,7 @@ class TestDn:
 
     def test_d3_offset(self):
         tau = ModularPoint(2.0j)
-        d3 = kronecker_eisenstein_Dn(3, tau)
+        d3 = _dn_lattice(3, tau.tau, 120)
         ref = eisenstein_fourier(3, tau.tau).value / (4 * math.pi) ** 3
         assert d3.value - ref == pytest.approx(zeta(3) / 64, abs=1e-3)
 
@@ -370,8 +370,8 @@ class TestDn:
         tau = ModularPoint(2j)
         with pytest.raises(DomainError, match="37.9"):
             kronecker_eisenstein_Dn(2, tau, LatticeSumSpec(R=37.9))
-        assert kronecker_eisenstein_Dn(3, tau, LatticeSumSpec(R=5.0)) == (
-            kronecker_eisenstein_Dn(3, tau, LatticeSumSpec(R=5))
+        assert kronecker_eisenstein_Dn(4, tau, LatticeSumSpec(R=5.0)) == (
+            kronecker_eisenstein_Dn(4, tau, LatticeSumSpec(R=5))
         )
 
     def test_divergent_and_capped(self):
