@@ -44,7 +44,7 @@ from .errors import (
 from .maass import (
     LatticeSumSpec, MaassValue, _check_array_size, eisenstein_fourier, riemann_zeta
 )
-from .modforms import DEFAULT_TRUNC, ModularPoint, QTruncation, dedekind_eta, theta
+from .modforms import ModularPoint, dedekind_eta, theta
 
 __all__ = [
     "Mandelstam",
@@ -213,17 +213,13 @@ def dimension_dn(n: int) -> int:
 # genus one
 
 
-def genus_one_propagator(
-    z: complex,
-    tau: ModularPoint,
-    trunc: QTruncation = DEFAULT_TRUNC,
-) -> float:
+def genus_one_propagator(z: complex, tau: ModularPoint) -> float:
     """P(z) = -1/4 log|th1(z|tau)/th1'(0|tau)|^2 + pi Im(z)^2 / (2 tau_2)."""
     z = complex(z)
-    th1 = theta(1, z, tau.tau, trunc)
+    th1 = theta(1, z, tau.tau)
     if abs(th1) < 1e-12:
         raise LatticePointHit(f"z = {z} is on (or too near) the lattice")
-    th1p = 2j * cmath.pi * dedekind_eta(tau.tau, trunc) ** 3
+    th1p = 2j * cmath.pi * dedekind_eta(tau.tau) ** 3
     return float(
         -0.5 * math.log(abs(th1 / th1p)) + math.pi * z.imag**2 / (2 * tau.tau.imag)
     )
@@ -336,9 +332,9 @@ def genus_one_propagator_momentum(
     return _half_sum(_weight_grid(t, R) * np.cos(2 * math.pi * (n * u - m * v)))
 
 
-def modular_anomaly(tau: ModularPoint, trunc: QTruncation = DEFAULT_TRUNC) -> float:
+def modular_anomaly(tau: ModularPoint) -> float:
     """C(tau) = log|sqrt(2 pi) eta(tau)|."""
-    return float(math.log(math.sqrt(2 * math.pi) * abs(dedekind_eta(tau.tau, trunc))))
+    return float(math.log(math.sqrt(2 * math.pi) * abs(dedekind_eta(tau.tau))))
 
 
 def _dn_tail(n: int, tau: complex, R: int) -> float:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .errors import DomainError, HalphenLabError, dump_json
-from .modforms import ModularPoint, QTruncation, ThetaChar
+from .modforms import ModularPoint, ThetaChar
 
 
 class _UsageError(Exception):
@@ -263,14 +263,13 @@ def _cmd_theta(args):
 
     z = parse_complex(args.z)
     v = parse_complex(args.v)
-    trunc = QTruncation(tol=args.tol)
     if args.classical is not None:
-        val = theta(args.classical, v, z, trunc)
+        val = theta(args.classical, v, z, args.tol)
         label = f"theta_{args.classical}"
     else:
         ch = ThetaChar(parse_complex(args.a), parse_complex(args.b))
         fn = theta_char_vderiv if args.vderiv else theta_char
-        val = fn(ch, v, z, trunc)
+        val = fn(ch, v, z, args.tol)
         label = "theta_char_vderiv" if args.vderiv else "theta_char"
     _emit(
         {

@@ -36,14 +36,7 @@ from .errors import (
 from .geometry import _curvature_blocks
 from .halphen import _CYC, _finite_triple, _fourth_powers, _halphen, _omega_ddot, _series
 from .halphen import _omega_dot as system_two_rhs, dh_rhs as system_one_rhs, schwarz_lambda
-from .modforms import (
-    DEFAULT_TRUNC,
-    QTruncation,
-    ThetaChar,
-    theta_char,
-    theta_char_vderiv,
-    weight2_transport,
-)
+from .modforms import ThetaChar, theta_char, theta_char_vderiv, weight2_transport
 
 __all__ = [
     "ConformalState",
@@ -100,12 +93,7 @@ def first_integral(w) -> complex:
     return w1 * w1 - w2 * w2 + w3 * w3
 
 
-def w_theta_solution(
-    a: complex,
-    b: complex,
-    z: complex,
-    trunc: QTruncation = DEFAULT_TRUNC,
-) -> WVars:
+def w_theta_solution(a: complex, b: complex, z: complex) -> WVars:
     """Theta-characteristic solution of the w-system,
 
         w1 = d_v theta[a+1; b](0|z) / (2 pi th2 th3 theta[a; b](0|z)),
@@ -117,14 +105,14 @@ def w_theta_solution(
     the family smooth in (a, b).
     """
     z = complex(z)
-    _, th2, th3, th4 = _series(z, trunc)
-    denom = theta_char(ThetaChar(a, b), 0.0, z, trunc)
+    _, th2, th3, th4 = _series(z)
+    denom = theta_char(ThetaChar(a, b), 0.0, z)
     if abs(denom) < 1e-12:
         raise ThetaZeroDivision(f"theta[{a};{b}](0|z) = {denom} below tolerance")
     phase = cmath.exp(-1j * cmath.pi * a / 2)
-    d1 = theta_char_vderiv(ThetaChar(a + 1, b), 0.0, z, trunc)
-    d2 = theta_char_vderiv(ThetaChar(a, b + 1), 0.0, z, trunc)
-    d3 = theta_char_vderiv(ThetaChar(a + 1, b + 1), 0.0, z, trunc)
+    d1 = theta_char_vderiv(ThetaChar(a + 1, b), 0.0, z)
+    d2 = theta_char_vderiv(ThetaChar(a, b + 1), 0.0, z)
+    d3 = theta_char_vderiv(ThetaChar(a + 1, b + 1), 0.0, z)
     t2, t3, _ = _fourth_powers(th2, th3, th4)
     tp = 2 * cmath.pi
     return WVars(
@@ -137,11 +125,7 @@ def w_theta_solution(
     )
 
 
-def ah_limit_solution(
-    z0: complex,
-    z: complex,
-    trunc: QTruncation = DEFAULT_TRUNC,
-) -> WVars:
+def ah_limit_solution(z0: complex, z: complex) -> WVars:
     """Integer-characteristic limit of the theta family,
     a = 1 + 2 eps, b = 1 + 2 z0 eps, eps -> 0:
 
@@ -152,7 +136,7 @@ def ah_limit_solution(
     """
     z = complex(z)
     z0 = complex(z0)
-    e2, th2, th3, th4 = _series(z, trunc)
+    e2, th2, th3, th4 = _series(z)
     if abs(z + z0) < 1e-12:
         raise PoleHit(f"z + z0 = {z + z0} below tolerance")
     o1, o2, o3 = _halphen(cmath.pi / 6, e2, th2, th3, th4)

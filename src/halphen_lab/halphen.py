@@ -28,9 +28,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DomainError, NotConverged, PoleHit, StepUnderflow, dump_json
-from .modforms import (
-    DEFAULT_TRUNC, ModularPoint, Moebius, QTruncation, thetas_e2, weight2_transport
-)
+from .modforms import ModularPoint, Moebius, thetas_e2, weight2_transport
 
 __all__ = [
     "TriAxial",
@@ -558,12 +556,12 @@ def integrate_ray(
 # closed forms
 
 
-def _series(z: complex, trunc: QTruncation):
+def _series(z: complex):
     """(E2, theta2, theta3, theta4) at v = 0 and complex z, Im z >= 0.05: the
     one q-series evaluation behind the closed forms, the Schwarz lambda and
     the conformal w-solutions (one call of the shared-nome kernel)."""
     ModularPoint(z).require_qseries_domain()
-    return thetas_e2(cmath.exp(1j * cmath.pi * z), cmath.exp(0.25j * cmath.pi * z), trunc)
+    return thetas_e2(cmath.exp(1j * cmath.pi * z), cmath.exp(0.25j * cmath.pi * z))
 
 
 def _fourth_powers(th2, th3, th4):
@@ -578,17 +576,17 @@ def _halphen(pref, e2, th2, th3, th4):
     return pref * (e2 - t2 - t3), pref * (e2 + t3 + t4), pref * (e2 + t2 - t4)
 
 
-def halphen_closed_form(z, trunc: QTruncation = DEFAULT_TRUNC) -> TriAxial:
+def halphen_closed_form(z) -> TriAxial:
     """The Halphen solution of the Darboux-Halphen system,
 
     omega1 = (pi/6i)(E2 - theta2^4 - theta3^4)   (and partners),
     thetas at v = 0.
     """
     z = complex(z)
-    return TriAxial(_halphen(cmath.pi / 6j, *_series(z, trunc)), z)
+    return TriAxial(_halphen(cmath.pi / 6j, *_series(z)), z)
 
 
-def halphen_closed_form_real(T: float, trunc: QTruncation = DEFAULT_TRUNC) -> RealTriAxial:
+def halphen_closed_form_real(T: float) -> RealTriAxial:
     """Real Halphen solution Omega(T) = i omega(iT), for every T > 0.
 
     The series run at S = max(T, 1/T) >= 1 on the float nome p = e^(-pi S),
@@ -603,17 +601,17 @@ def halphen_closed_form_real(T: float, trunc: QTruncation = DEFAULT_TRUNC) -> Re
     if not T > 0:
         raise DomainError(f"real Halphen solution needs T > 0, got T = {T}")
     S = T if T >= 1 else 1.0 / T
-    th = thetas_e2(math.exp(-math.pi * S), math.exp(-0.25 * math.pi * S), trunc)
+    th = thetas_e2(math.exp(-math.pi * S), math.exp(-0.25 * math.pi * S))
     w1, w2, w3 = _halphen(math.pi / 6, *th)
     if T < 1:
         w1, w2, w3 = S - S * S * w2, S - S * S * w1, S - S * S * w3
     return RealTriAxial((w1, w2, w3), T)
 
 
-def halphen_triplet(z, trunc: QTruncation = DEFAULT_TRUNC) -> ModularTriplet:
+def halphen_triplet(z) -> ModularTriplet:
     """The weight-2 Gamma(2) triplet behind the Halphen solution:
     (i pi theta4^4, -i pi theta2^4, -i pi theta3^4)."""
-    t2, t3, t4 = _fourth_powers(*_series(complex(z), trunc)[1:])
+    t2, t3, t4 = _fourth_powers(*_series(complex(z))[1:])
     return ModularTriplet(1j * cmath.pi * t4, -1j * cmath.pi * t2, -1j * cmath.pi * t3)
 
 
@@ -668,9 +666,9 @@ def dh_residual(sol, z, h=None) -> float:
 # Schwarz and Chazy correspondences
 
 
-def schwarz_lambda(z, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
+def schwarz_lambda(z) -> complex:
     """lambda_H(z) = theta2(0|z)^4 / theta3(0|z)^4."""
-    t2, t3, _ = _fourth_powers(*_series(complex(z), trunc)[1:])
+    t2, t3, _ = _fourth_powers(*_series(complex(z))[1:])
     return t2 / t3
 
 
@@ -741,7 +739,7 @@ def omegas_from_chazy(cd: ChazyData, reference=None):
     return tuple(roots[j] for j in perm)
 
 
-def reflection_check(T: float, trunc: QTruncation = DEFAULT_TRUNC):
+def reflection_check(T: float):
     """Residual triple of the quasimodular reflection identity
     Omega^{1,2,3}(T) = -(1/T^2) Omega^{2,1,3}(1/T) + 1/T
     on the real Halphen solution, both sides summed directly at tau = iT and
@@ -751,7 +749,7 @@ def reflection_check(T: float, trunc: QTruncation = DEFAULT_TRUNC):
     # both sides by the direct series Omega(T) = i omega(iT): the real closed
     # form applies this very reflection below T = 1, so it cannot check it
     direct, mirror = (
-        [(1j * w).real for w in halphen_closed_form(1j * t, trunc).omega] for t in (T, 1.0 / T)
+        [(1j * w).real for w in halphen_closed_form(1j * t).omega] for t in (T, 1.0 / T)
     )
     perm = (1, 0, 2)
     return tuple(

@@ -3,9 +3,11 @@
 Dedekind eta, holomorphic Eisenstein series E2/E4/E6, Jacobi theta
 functions (with characteristics and v-derivatives) and Moebius maps.
 All evaluators are plain truncated q-series in binary64: they sum until
-the running term drops below ``tol * max(1, |partial|)`` and refuse to
-work below Im(tau) = 0.05, where a q-series is the wrong tool (fold into
-the fundamental domain first, as :func:`maass.fold_to_fundamental` does).
+the running term drops below ``TOL * max(1, |partial|)`` (the theta
+functions take their own ``tol``), raise TruncationNotReached past
+``MAX_TERMS`` terms, and refuse to work below Im(tau) = 0.05, where a
+q-series is the wrong tool (fold into the fundamental domain first, as
+:func:`maass.fold_to_fundamental` does).
 
 :func:`thetas_e2` is the shared-nome kernel behind the Halphen closed
 forms, the Schwarz lambda and the conformal w-solutions: E2, theta2,
@@ -27,8 +29,6 @@ __all__ = [
     "ModularPoint",
     "ThetaChar",
     "Moebius",
-    "QTruncation",
-    "DEFAULT_TRUNC",
     "dedekind_eta",
     "eisenstein_holo",
     "theta",
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 MIN_IM_TAU = 0.05
+TOL = 1e-12  # a series stops at its first term below TOL * max(1, |partial sum|)
+MAX_TERMS = 10**6  # work bound: past this many terms a series raises TruncationNotReached
 
 
 @dataclass(frozen=True)
@@ -111,28 +113,11 @@ class Moebius:
         return (self.a * z + self.b) / j, j
 
 
-@dataclass(frozen=True)
-class QTruncation:
-    """Truncation policy for q-series: absolute tolerance + term budget."""
-
-    tol: float = 1e-12
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-
-
-DEFAULT_TRUNC = QTruncation()
-
-
 def _as_point(tau) -> ModularPoint:
     return tau if isinstance(tau, ModularPoint) else ModularPoint(complex(tau))
 
 
-def dedekind_eta(tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
+def dedekind_eta(tau) -> complex:
     """eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), with q^(1/24) = e^(i pi tau/12)
     so that eta(tau + 1) = e^(i pi/12) eta(tau)."""
     pt = _as_point(tau)
@@ -142,41 +127,41 @@ def dedekind_eta(tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
     prod = 1.0 + 0j
     qn = 1.0 + 0j
     absq = abs(q)
-    for n in range(1, trunc.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         qn *= q
         prod *= 1 - qn
         # remaining factors differ from 1 by < |q|^(n+1)/(1-|q|) in log
         tail = absq ** (n + 1) / (1 - absq)
-        if tail < trunc.tol:
+        if tail < TOL:
             return prefactor * prod
-    raise TruncationNotReached("dedekind_eta: max_terms exhausted")
+    raise TruncationNotReached(f"dedekind_eta: MAX_TERMS = {MAX_TERMS} factors spent")
 
 
 _EIS_COEF = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
 
 
-def _lambert(k: int, q, trunc: QTruncation):
+def _lambert(k: int, q):
     """E_k = 1 + c_k sum_{m>=1} m^(k-1) q^m / (1 - q^m), stopping at the
-    first term below trunc.tol * max(1, |partial|); TruncationNotReached
-    past trunc.max_terms.  A float q gives a float."""
+    first term below TOL * max(1, |partial|); TruncationNotReached past
+    MAX_TERMS.  A float q gives a float."""
     coef, power = _EIS_COEF[k]
     total = qm = 1.0
-    for m in range(1, trunc.max_terms + 1):
+    for m in range(1, MAX_TERMS + 1):
         qm *= q
         term = coef * m**power * qm / (1 - qm)
         total += term
-        if abs(term) < trunc.tol * max(1.0, abs(total)):
+        if abs(term) < TOL * max(1.0, abs(total)):
             return total
-    raise TruncationNotReached(f"E{k} Lambert series: max_terms exhausted")
+    raise TruncationNotReached(f"E{k} Lambert series: MAX_TERMS = {MAX_TERMS} terms spent")
 
 
-def eisenstein_holo(k: int, tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
+def eisenstein_holo(k: int, tau) -> complex:
     """Holomorphic Eisenstein series E_k, k in {2, 4, 6}, by Lambert series."""
     if k not in _EIS_COEF:
         raise DomainError(f"k must be one of 2, 4, 6, got {k}")
     pt = _as_point(tau)
     pt.require_qseries_domain()
-    return _lambert(k, pt.q, trunc)
+    return _lambert(k, pt.q)
 
 
 _CLASSICAL_CHARS = {
@@ -187,22 +172,27 @@ _CLASSICAL_CHARS = {
 }
 
 
-def theta(j: int, v, tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
+def theta(j: int, v, tau, tol: float = TOL) -> complex:
     """Jacobi theta function theta_j(v|tau), j in {1, 2, 3, 4}."""
     if j not in _CLASSICAL_CHARS:
         raise DomainError(f"j must be one of 1..4, got {j}")
-    return theta_char(_CLASSICAL_CHARS[j], v, tau, trunc)
+    return theta_char(_CLASSICAL_CHARS[j], v, tau, tol)
 
 
-def _theta_terms(ch: ThetaChar, v, tau, trunc: QTruncation, weight):
+def _theta_terms(ch: ThetaChar, v, tau, tol: float, weight):
     """Sum weight(m + a/2) * exp(i pi tau (m+a/2)^2 + 2 i pi (v+b/2)(m+a/2))
-    symmetrically around the peak of the Gaussian envelope."""
+    symmetrically around the peak of the Gaussian envelope, stopping once
+    three flanking pairs in a row fall below tol * max(1, |partial|)."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     pt = _as_point(tau)
     pt.require_qseries_domain()
     z = pt.tau
     a = complex(ch.a)
     b = complex(ch.b)
     v = complex(v)
+    if not cmath.isfinite(v):
+        raise DomainError(f"theta needs a finite v, got v = {v}")
 
     def term(m: int) -> complex:
         n = m + a / 2
@@ -211,37 +201,42 @@ def _theta_terms(ch: ThetaChar, v, tau, trunc: QTruncation, weight):
         )
 
     center = int(round(-a.real / 2))
-    total = term(center)
-    # flank the center until both one-sided tails are below tolerance for
-    # a few consecutive terms (guards against the phase factor masking a
-    # not-yet-decaying Gaussian)
     quiet = 0
-    for step in range(1, trunc.max_terms + 1):
-        t_hi = term(center + step)
-        t_lo = term(center - step)
-        total += t_hi + t_lo
-        if max(abs(t_hi), abs(t_lo)) < trunc.tol * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-    raise TruncationNotReached("theta series: max_terms exhausted")
+    try:
+        total = term(center)
+        # flank the center until both one-sided tails are below tolerance for
+        # a few consecutive terms (guards against the phase factor masking a
+        # not-yet-decaying Gaussian)
+        for step in range(1, MAX_TERMS + 1):
+            t_hi = term(center + step)
+            t_lo = term(center - step)
+            total += t_hi + t_lo
+            if max(abs(t_hi), abs(t_lo)) < tol * max(1.0, abs(total)):
+                quiet += 1
+                if quiet >= 3:
+                    break
+            else:
+                quiet = 0
+    except OverflowError:  # cmath.exp or abs past the float range
+        total = cmath.nan
+    if not cmath.isfinite(total):
+        raise DomainError(f"theta at v = {v}, tau = {z} overflows a float")
+    if quiet < 3:
+        raise TruncationNotReached(f"theta series: MAX_TERMS = {MAX_TERMS} terms spent")
+    return total
 
 
-def theta_char(ch: ThetaChar, v, tau, trunc: QTruncation = DEFAULT_TRUNC) -> complex:
+def theta_char(ch: ThetaChar, v, tau, tol: float = TOL) -> complex:
     """theta[a;b](v|tau) with arbitrary complex characteristics."""
-    return _theta_terms(ch, v, tau, trunc, lambda n: 1.0)
+    return _theta_terms(ch, v, tau, tol, lambda n: 1.0)
 
 
-def theta_char_vderiv(
-    ch: ThetaChar, v, tau, trunc: QTruncation = DEFAULT_TRUNC
-) -> complex:
+def theta_char_vderiv(ch: ThetaChar, v, tau, tol: float = TOL) -> complex:
     """d/dv of theta[a;b](v|tau), term-by-term."""
-    return _theta_terms(ch, v, tau, trunc, lambda n: 2j * cmath.pi * n)
+    return _theta_terms(ch, v, tau, tol, lambda n: 2j * cmath.pi * n)
 
 
-def thetas_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
+def thetas_e2(p, p4):
     """(E2, theta2, theta3, theta4) at v = 0 from the nome
     p = e^(i pi tau), |p| < 1, and p4 = p^(1/4) = e^(i pi tau/4):
 
@@ -253,17 +248,16 @@ def thetas_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
     three theta sums share one set of products and no exponential is taken
     per term.  The same code runs on a float nome (tau = iS on the
     imaginary axis, p = e^(-pi S)) in real arithmetic and on a complex one.
-    The theta sums stop at the first p^(n^2) below trunc.tol, and E2 is the
+    The theta sums stop at the first p^(n^2) below TOL, and E2 is the
     Lambert series of :func:`eisenstein_holo`; either running past
-    trunc.max_terms raises TruncationNotReached.  Callers that need fourth
+    MAX_TERMS raises TruncationNotReached.  Callers that need fourth
     powers square twice (`halphen._fourth_powers`).
     """
-    tol = trunc.tol
     s = alt = b_sum = 0.0  # sum p^(n^2), sum (-1)^n p^(n^2), sum p^(n(n+1)), n >= 1
     a = b = 1.0  # p^(n^2), p^(n(n+1)) at n = 0
     odd = p  # p^(2n - 1)
     sign = 1.0
-    for _ in range(trunc.max_terms):
+    for _ in range(MAX_TERMS):
         a *= odd
         odd *= p
         b *= odd
@@ -272,11 +266,11 @@ def thetas_e2(p, p4, trunc: QTruncation = DEFAULT_TRUNC):
         s += a
         alt += sign * a
         b_sum += b
-        if abs(a) < tol:
+        if abs(a) < TOL:
             break
     else:
-        raise TruncationNotReached("thetas_e2: theta sums exhausted max_terms")
-    return _lambert(2, p * p, trunc), 2 * p4 * (1 + b_sum), 1 + 2 * s, 1 + 2 * alt
+        raise TruncationNotReached(f"thetas_e2: MAX_TERMS = {MAX_TERMS} theta terms spent")
+    return _lambert(2, p * p), 2 * p4 * (1 + b_sum), 1 + 2 * s, 1 + 2 * alt
 
 
 def apply_moebius(M: Moebius, tau):

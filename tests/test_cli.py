@@ -239,6 +239,18 @@ class TestTheta:
         assert payload["re"] == pytest.approx(ref, abs=1e-12)
         assert payload["im"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_tol_reaches_the_series(self, capsys):
+        # at Im z = 0.05 the Gaussian decays slowly, so a loose tolerance
+        # stops the sum early and moves the value; theta3(0|i/20) is
+        # sqrt(20) theta3(0|20i) = sqrt(20) to binary64
+        values = []
+        for extra in ((), ("--tol", "1e-2")):
+            code, out = run(capsys, "theta", "--classical", "3", "--z", "0.05i", *extra)
+            assert code == 0
+            values.append(json.loads(out)["re"])
+        assert values[0] == pytest.approx(20**0.5, abs=1e-12)
+        assert abs(values[1] - values[0]) > 1e-6
+
 
 class TestConformal:
     def test_cp_harmonic_residual(self, capsys):
@@ -325,6 +337,12 @@ class TestBadNumbers:
          "DomainError: D_3 at tau = 1e+200j overflows a float"),
         (["graphd", "--mult", "1,1,1,1,1,0", "--tau", "1e200i"], 2,
          "DomainError: the graph sum (1, 1, 1, 1, 1, 0) at tau = 1e+200j overflows a float"),
+        (["theta", "--classical", "3", "--z", "0.05i", "--tol", "inf"], 2,
+         "DomainError: tol must be finite and positive"),
+        (["theta", "--classical", "3", "--z", "0.05i", "--v", "nan"], 2,
+         "DomainError: theta needs a finite v"),
+        (["theta", "--classical", "3", "--v", "20i", "--z", "1i"], 2,
+         "DomainError: theta at v = 20j, tau = 1j overflows a float"),
     ])
     def test_typed_failure(self, capsys, argv, code, message):
         assert main(argv) == code

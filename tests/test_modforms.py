@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from halphen_lab import modforms
 from halphen_lab.errors import DomainError, PoleHit, TruncationNotReached
 from halphen_lab.modforms import (
     ModularPoint,
     Moebius,
-    QTruncation,
     ThetaChar,
     apply_moebius,
     dedekind_eta,
@@ -78,9 +78,10 @@ class TestDedekindEta:
         d = (cmath.log(dedekind_eta(z + h)) - cmath.log(dedekind_eta(z - h))) / (2 * h)
         assert abs(12 / (1j * math.pi) * d - eisenstein_holo(2, z)) < 1e-8
 
-    def test_truncation_not_reached(self):
+    def test_truncation_not_reached(self, monkeypatch):
+        monkeypatch.setattr(modforms, "MAX_TERMS", 2)
         with pytest.raises(TruncationNotReached):
-            dedekind_eta(0.06j, QTruncation(tol=1e-12, max_terms=2))
+            dedekind_eta(0.06j)
 
 
 class TestEisensteinHolo:
@@ -212,14 +213,16 @@ class TestSharedNomeKernel:
             assert type(v) is float
             assert abs(v - r) <= 1e-14 * abs(r)
 
-    def test_truncation_not_reached(self):
+    def test_truncation_not_reached(self, monkeypatch):
         z = 0.06j
         p, p4 = cmath.exp(1j * math.pi * z), cmath.exp(0.25j * math.pi * z)
+        monkeypatch.setattr(modforms, "MAX_TERMS", 2)
         with pytest.raises(TruncationNotReached):
-            thetas_e2(p, p4, QTruncation(tol=1e-12, max_terms=2))
+            thetas_e2(p, p4)
         # enough terms for the theta sums but not for E2, whose |q| is larger
+        monkeypatch.setattr(modforms, "MAX_TERMS", 30)
         with pytest.raises(TruncationNotReached, match="E2"):
-            thetas_e2(p, p4, QTruncation(tol=1e-12, max_terms=30))
+            thetas_e2(p, p4)
 
 
 class TestMoebius:
