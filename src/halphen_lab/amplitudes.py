@@ -361,11 +361,12 @@ def _finite_sum(value: float, est_error: float, what: str, tau: complex,
     return MaassValue(value=value, est_error=est_error, note=note)
 
 
-# Eisenstein reductions a E_s + b zeta(s): (s, a, b, the formula).  The
-# sums of D'Hoker--Green--Vanhove are 4^weight times these, and their E_s
-# is E_s / pi^s here.
-_D3 = (3, (4 * math.pi) ** -3, 1 / 64, "D_3 = E_3/(4 pi)^3 + zeta(3)/64, no cutoff")
-_C221 = (5, 0.4 / (4 * math.pi) ** 5, 1 / (30 * 4**5),
+# Eisenstein reductions a E_s + b zeta(s): (s, a, b zeta(s), the formula).
+# The sums of D'Hoker--Green--Vanhove are 4^weight times these, and their
+# E_s is E_s / pi^s here.
+_D3 = (3, (4 * math.pi) ** -3, 1 / 64 * riemann_zeta(3),
+       "D_3 = E_3/(4 pi)^3 + zeta(3)/64, no cutoff")
+_C221 = (5, 0.4 / (4 * math.pi) ** 5, 1 / (30 * 4**5) * riemann_zeta(5),
          "C_2,2,1 = ((2/5) E_5/pi^5 + zeta(5)/30)/4^5, no cutoff")
 
 # the relative error of riemann_zeta at the s of the reductions: against
@@ -374,16 +375,17 @@ ZETA_ERROR = 8 * 2.0**-53
 
 
 def _eisenstein_reduction(reduction, tau: complex, what: str) -> MaassValue:
-    """a E_s(tau) + b zeta(s) for reduction = (s, a, b, formula), with
-    `note` the formula.  The bar adds the scaled bar of `eisenstein_fourier`,
-    the error of `riemann_zeta` and 8 roundings of each term: the rounded
-    coefficients (pi^5 among them), the two products and the sum."""
-    s, a, b, formula = reduction
+    """a E_s(tau) + b zeta(s) for reduction = (s, a, b zeta(s), formula),
+    with `note` the formula.  The bar adds the scaled bar of
+    `eisenstein_fourier`, the error of `riemann_zeta` and 8 roundings of
+    each term: the rounded coefficients (pi^5 among them), the two products
+    and the sum."""
+    s, a, z_term, formula = reduction
     try:
         E = eisenstein_fourier(s, tau)
     except DomainError:  # E_s overflows a float, so does the sum: `_finite_sum` names it
         E = MaassValue(math.inf)
-    e_term, z_term = a * E.value, b * riemann_zeta(s)
+    e_term = a * E.value
     est_error = a * E.est_error + ZETA_ERROR * z_term + 8 * 2.0**-53 * (abs(e_term) + z_term)
     return _finite_sum(e_term + z_term, est_error, what, tau, formula)
 

@@ -244,49 +244,129 @@ def completed_zeta(s: float) -> float:
         raise DomainError(f"completed zeta overflows a float at s = {s}")
 
 
-def _besselk(nu: float, x):
-    """K_nu(x) for an array of x > 0 by the trapezoid rule on
+def _zeta_condition(w: float) -> float:
+    """How far riemann_zeta(w) amplifies rounding past its own few 2^-53,
+    in units of 2^-53: 2^(1-w)/|1 - 2^(1-w)| from the denominator that
+    cancels near the pole, and below 0 |(pi w/2)/sin(pi w/2)| from sin near
+    the trivial zeros plus twice the condition of zeta(1 - w), for the
+    rounding of 1 - w."""
+    if w >= 55 or (w < 0 and w % 2 == 0):  # 1.0 and the trivial zeros are exact
+        return 0.0
+    if w < 0:
+        half = math.pi * w / 2
+        return abs(half / math.sin(half)) + 2 * _zeta_condition(1 - w)
+    return 2 ** (1 - w) / abs(1 - 2 ** (1 - w))
+
+
+def _xi_condition(w: float) -> float:
+    """The same for completed_zeta(w), through the zeta it calls."""
+    return _zeta_condition(w) if w >= 0.5 else 2 * _zeta_condition(1 - w)
+
+
+def _besselk_modes(nu: float, x1: float, count: int):
+    """K_nu(n x1) for n = 1 .. count and x1 > 0, by the trapezoid rule on
 
         K_nu(x) = e^(-x) int_0^inf e^(-x (cosh t - 1)) cosh(nu t) dt,
 
-    which converges geometrically in the step for this integrand.  The
-    step is h = min(0.2, 0.5/sqrt(x), 1.5/(|nu| + 1)) and the rule runs to
-    t_max with x (cosh t - 1) - |nu| t = 40."""
+    which converges geometrically in the step for this integrand.  With
+    g = e^(-x1 (cosh t - 1)), mode n's integrand is g^n cosh(nu t), mode
+    1's times g^(n-1), so one table serves every mode: a cumulative product
+    of g, then one matrix-vector product with mode 1's integrand.  The
+    step is mode count's, the smallest of min(0.2, 0.5/sqrt(x), 1.5/(|nu| +
+    1)), and the table runs to mode 1's t_max, the largest, where x1 (cosh t
+    - 1) - |nu| t = 40.  Mode 1's integrand is formed as (e^(nu t - e) +
+    e^(-nu t - e))/2 with e = x1 (cosh t - 1), so no factor overflows where
+    K_nu(x1) does not."""
     nu = abs(nu)
-    if x.size == 0:
-        return x
-    h = np.minimum(np.minimum(0.2, 0.5 / np.sqrt(x)), 1.5 / (nu + 1))
-    t_max = np.arccosh(1 + 40 / x)
-    for _ in range(8):  # contraction: slope nu / (x sinh t) < nu / (40 + nu t)
-        t_max = np.arccosh(1 + (40 + nu * t_max) / x)
-    t = np.arange(1, int(np.ceil(np.max(t_max / h))) + 1) * h[:, None]
-    e = x[:, None] * (np.cosh(t) - 1)
+    if count == 0:
+        return np.empty(0)
+    h = min(0.2, 0.5 / math.sqrt(count * x1), 1.5 / (nu + 1))
+    t_max = math.acosh(1 + 40 / x1)
+    for _ in range(8):  # contraction: slope nu / (x1 sinh t) < nu / (40 + nu t)
+        t_max = math.acosh(1 + (40 + nu * t_max) / x1)
+    t = np.arange(1, math.ceil(t_max / h) + 1) * h
+    e = x1 * (np.cosh(t) - 1)
     f = 0.5 * (np.exp(nu * t - e) + np.exp(-nu * t - e))
-    return np.exp(-x) * h * (0.5 + f.sum(axis=1))
+    powers = np.empty((count, t.size))  # g^(n-1), n = 1 .. count
+    powers[0] = 1.0
+    powers[1:] = np.exp(-e)
+    powers.cumprod(axis=0, out=powers)
+    return np.exp(-x1 * np.arange(1, count + 1)) * h * (0.5 + powers @ f)
+
+
+MODE_BAR = 2.0**-60  # modes whose bound is below this share of the zero modes are not summed
+
+
+def _tail_bound(n: int, beta: float, x1: float, inv_xi: float) -> float:
+    """A bound on |mode k| summed over k >= n >= 1, where mode k (k and -k
+    together) is 4 sqrt(y) F_k K_beta(k x1) cos(2 pi k x) / xi(2s) with
+    F_k = sigma_{-2 beta}(k) k^beta, beta = |s - 1/2|, x1 = 2 pi y and
+    inv_xi = 1/|xi(2s)|; inf where the bound does not hold yet.
+
+    F_k <= d(k) k^beta <= 2 k^(beta + 1/2), and from the integral of DLMF
+    10.32.8, K_beta(x) <= sqrt(pi/(2x)) e^(-x) c(x) with c = 1 for
+    beta <= 1/2 and c = (1 - (beta - 1/2)/(2x))^(-(beta + 1/2)) for
+    2x > beta - 1/2, decreasing in x.  So |mode k| <= 4 inv_xi c(k x1)
+    k^beta e^(-k x1), and with r = (1 + 1/n)^beta e^(-x1) < 1, the largest
+    ratio of consecutive terms of k^beta e^(-k x1) from n on, the tail is
+    at most 4 inv_xi c(n x1) n^beta e^(-n x1) / (1 - r)."""
+    if inv_xi == 0.0:  # every mode carries 1/xi(2s)
+        return 0.0
+    r = (1 + 1 / n) ** beta * math.exp(-x1)
+    if not (2 * n * x1 > beta - 0.5 and r < 1):
+        return math.inf
+    log_c = 0.0 if beta <= 0.5 else -(beta + 0.5) * math.log1p(-(beta - 0.5) / (2 * n * x1))
+    log_tail = math.log(4 * inv_xi) + log_c + beta * math.log(n) - n * x1 - math.log1p(-r)
+    return math.exp(log_tail) if log_tail < 709 else math.inf
+
+
+def _mode_count(s: float, x1: float, xi2s: float, bar: float, n_max: int):
+    """(N, tail) for `eisenstein_fourier`: N the first n >= 0 whose
+    `_tail_bound` from mode n + 1 on is below `bar`, at most n_max, and
+    tail that bound from N + 1 on.  Every factor of the bound but
+    4 e^(-n x1) / |xi(2s)| is >= 1, so the search starts just below the
+    first n where this one falls under `bar`."""
+    beta, inv_xi = abs(s - 0.5), 1 / abs(xi2s)
+    n = 0
+    if 0 < bar < math.inf and inv_xi > 0:
+        first = (math.log(4 * inv_xi) - math.log(bar)) / x1
+        n = max(0, math.floor(min(n_max + 1.0, first)) - 1)
+    while True:
+        tail = _tail_bound(n + 1, beta, x1, inv_xi)
+        if tail < bar or n == n_max:
+            return n, tail
+        n += 1
 
 
 @functools.lru_cache(maxsize=256)
 def _fourier_factors(s: float, n_max: int) -> tuple:
     """The factors of `eisenstein_fourier` that depend on s alone:
-    (2 zeta(2s), xi(2s), xi(2s - 1)/xi(2s), ((sigma_{2s-1}(n), n^(s-1/2))
-    for n = 1 .. n_max)).
+    (2 zeta(2s), xi(2s), xi(2s - 1)/xi(2s), (F_n for n = 1 .. n_max),
+    conditions), the conditions those of the first, of the third and of
+    1/xi(2s) (`_zeta_condition`), and F_n = sigma_{-2 beta}(n) n^beta,
+    beta = |s - 1/2|, which is
+    sigma_{1-2s}(n) n^(s-1/2) = sigma_{2s-1}(n) / n^(s-1/2).  Neither of its
+    two factors is larger than F_n, so they stay in the float range
+    wherever F_n does; an F_n past it is stored as inf, and E_s overflows
+    (DomainError) only if its mode n is summed.
 
     Cached on (s, n_max), never on tau.  lru_cache keeps no exception, so
-    PoleAtS at s = 1/2 is raised on every call.  A pair that overflows a
-    float (sigma_{2s-1}(n) from about s = 105 on) is stored as (inf, inf):
-    E_s overflows (DomainError) only if its mode n is reached.
+    PoleAtS at s = 1/2 is raised on every call.
     """
     norm = 2 * riemann_zeta(2 * s)
     # xi(2s) has its pole at s = 0, where every mode divided by it vanishes
     xi2s = math.inf if s == 0 else completed_zeta(2 * s)
     ratio = completed_zeta(2 * s - 1) / xi2s
+    beta = abs(s - 0.5)
     factors = []
     for n in range(1, n_max + 1):
         try:
-            factors.append((divisor_sigma(2 * s - 1, n), n ** (s - 0.5)))
+            factors.append(divisor_sigma(-2 * beta, n) * n**beta)
         except OverflowError:
-            factors.append((math.inf, math.inf))
-    return norm, xi2s, ratio, tuple(factors)
+            factors.append(math.inf)
+    xi_cond = 0.0 if s == 0 else _xi_condition(2 * s)
+    conditions = (_zeta_condition(2 * s), _xi_condition(2 * s - 1) + xi_cond, xi_cond)
+    return norm, xi2s, ratio, tuple(factors), conditions
 
 
 def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
@@ -301,38 +381,51 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     SL(2,Z)-invariant, so tau is first folded into the fundamental domain,
     where Im tau >= sqrt(3)/2.  The factors that depend on s alone come
     from `_fourier_factors`, computed once per (s, n_max).
+
+    The modes 1 .. N are summed, N the first n whose tail bound
+    (`_tail_bound`) from n + 1 on is below MODE_BAR of the zero modes, and
+    at most n_max; their Bessel factors come from one table
+    (`_besselk_modes`).  The bar is the tail bound from mode N + 1 on plus
+    a rounding floor: 2^-53 per possible mode, n_max + 2, of the sum of
+    |mode|, 2^-53 2 (|s - 1/2| + 2 pi N y) of the sum of |mode n| over
+    n >= 1, and the rounding of the s-only factors where zeta or sin
+    cancels (near s = 1/2, 1 and the trivial zeros of zeta(2s)).
     """
     _check_s(s)
     if s == 1:
         raise PoleAtS("E_s has a pole at s = 1")
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     tau = fold_to_fundamental(tau)
     x, y = tau.real, tau.imag
-    norm, xi2s, ratio, factors = _fourier_factors(s, n_max)
+    norm, xi2s, ratio, factors, (norm_cond, ratio_cond, xi_cond) = _fourier_factors(s, n_max)
     try:  # the zero modes
         modes = [y**s, ratio * y ** (1 - s)]
     except OverflowError:
         modes = [math.inf]
-    last_term = 0.0
-    besselk = _besselk(s - 0.5, 2 * math.pi * np.arange(1, n_max + 1) * y)
-    for n, (bessel, (sigma, power)) in enumerate(zip(besselk.tolist(), factors), 1):
-        if bessel == 0.0 or not math.isfinite(bessel):
-            # underflow of the exponentially small tail: legitimately drop
-            last_term = 0.0
+    x1 = 2 * math.pi * y
+    count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)), n_max)
+    besselk = _besselk_modes(s - 0.5, x1, count)
+    for n, (bessel, factor) in enumerate(zip(besselk.tolist(), factors), 1):
+        if bessel == 0.0:  # underflow of the exponentially small tail
             break
-        coef = 4 * math.sqrt(y) * sigma / power * bessel / (2 * xi2s)
+        coef = 4 * math.sqrt(y) * factor * bessel / (2 * xi2s)
         modes.append(coef * 2 * math.cos(2 * math.pi * n * x))
-        last_term = abs(coef) * 2
     total = 0.0
     for mode in modes:  # one rounding per mode, in order on every Python version
         total += mode
     value = norm * total
     if not math.isfinite(value):
         raise DomainError(f"E_s overflows a float at s = {s}, tau = {tau}")
-    # the first dropped mode, plus a rounding floor of 2^-53 per mode added
-    # of the sum of |mode|; 2 zeta(2s) is negative at many s < 1/2 (s = 1/4
-    # among them)
-    rounding = len(modes) * 2.0**-53 * sum(map(abs, modes))
-    return MaassValue(value=value, est_error=abs(norm) * (last_term + rounding))
+    # 2^-53 per possible mode of the sum of |mode|, twice |nu| + x per mode
+    # n >= 1 (K_nu(x) amplifies the rounding of x = 2 pi n y by up to
+    # |nu| + x) and the conditions of the s-only factors; 2 zeta(2s) is
+    # negative at many s < 1/2 (s = 1/4 among them)
+    per_mode = 2 * (abs(s - 0.5) + count * x1) + xi_cond
+    rounding = 2.0**-53 * ((n_max + 2) * sum(map(abs, modes)) + ratio_cond * abs(modes[1])
+                           + per_mode * sum(map(abs, modes[2:])))
+    est_error = abs(norm) * (tail + rounding) + 2.0**-53 * norm_cond * abs(value)
+    return MaassValue(value=value, est_error=est_error)
 
 
 def laplacian_eigencheck(s: float, tau, h: float) -> float:

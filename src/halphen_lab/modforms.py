@@ -182,22 +182,32 @@ def theta(j: int, v, tau, tol: float = TOL) -> complex:
 def _theta_terms(ch: ThetaChar, v, tau, tol: float, weight):
     """Sum weight(m + a/2) * exp(i pi tau (m+a/2)^2 + 2 i pi (v+b/2)(m+a/2))
     symmetrically around the peak of the Gaussian envelope, stopping once
-    three flanking pairs in a row fall below tol * max(1, |partial|)."""
+    three flanking pairs in a row fall below tol * max(1, |partial|).
+
+    Re a is first reduced modulo 2 into [-1, 1] (theta[a + 2; b] =
+    theta[a; b]: the shift relabels m) and Re v modulo 1 into [-1/2, 1/2]
+    (theta[a; b](v + k) = e^(i pi a k) theta[a; b](v) for integer k, and
+    so for the v-derivative), both exactly, so a huge characteristic or v
+    costs no digits and no terms; a in [-1, 1] and v with |Re v| <= 1/2
+    are left as they are."""
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     pt = _as_point(tau)
     pt.require_qseries_domain()
     z = pt.tau
     a = complex(ch.a)
+    a = complex(math.remainder(a.real, 2), a.imag)
     b = complex(ch.b)
     v = complex(v)
     if not cmath.isfinite(v):
         raise DomainError(f"theta needs a finite v, got v = {v}")
+    shift = v.real - math.remainder(v.real, 1)  # an integer k, exactly
+    phase_v = v - shift + b / 2
 
     def term(m: int) -> complex:
         n = m + a / 2
         return weight(n) * cmath.exp(
-            1j * cmath.pi * z * n * n + 2j * cmath.pi * (v + b / 2) * n
+            1j * cmath.pi * z * n * n + 2j * cmath.pi * phase_v * n
         )
 
     center = int(round(-a.real / 2))
@@ -217,7 +227,12 @@ def _theta_terms(ch: ThetaChar, v, tau, tol: float, weight):
                     break
             else:
                 quiet = 0
-    except OverflowError:  # cmath.exp or abs past the float range
+        if shift:
+            p, q = a.real.as_integer_ratio()
+            turns = p * int(shift) % (2 * q) / q  # Re(a) k modulo 2
+            total *= (-1.0 if turns == 1 else cmath.exp(1j * math.pi * turns)) * math.exp(
+                -math.pi * a.imag * shift)
+    except OverflowError:  # cmath.exp, math.exp or abs past the float range
         total = cmath.nan
     if not cmath.isfinite(total):
         raise DomainError(f"theta at v = {v}, tau = {z} overflows a float")

@@ -14,6 +14,7 @@ import pytest
 from scipy.special import zeta
 
 import halphen_lab
+from halphen_lab import modforms
 from halphen_lab.cli import build_parser, main, parse_complex, parse_triple
 
 
@@ -178,7 +179,18 @@ class TestEisenstein:
         assert math.isfinite(fourier["value"]) and fourier["value"] < 0
         assert 0 <= fourier["est_error"] < 1e-12
 
-    @pytest.mark.parametrize("argv", [["--s", "200", "--both-methods"], ["--s=-90"]])
+    def test_large_s_past_the_divisor_overflow(self, capsys):
+        # sigma_{2s-1}(n) overflowed a float from about s = 105 on; E_120 at
+        # 0.3 + 2i is 2 y^s to 1e-36
+        code, out = run(capsys, "eisenstein", "--s", "120", "--tau", "0.3+2i")
+        assert code == 0
+        fourier = json.loads(out)["fourier"]
+        assert fourier["value"] == pytest.approx(2 * 2.0**120, rel=1e-14)
+        assert 0 < fourier["est_error"] < 1e-14 * fourier["value"]
+
+    # 2 * 1.2^4000 leaves the float range (2 * 1.2^200 and 2 * 1.2^2000 do
+    # not); at s = -90, Gamma(1 - 2s) in xi(2s) does
+    @pytest.mark.parametrize("argv", [["--s", "4000", "--both-methods"], ["--s=-90"]])
     def test_overflowing_s_is_numeric_failure(self, capsys, argv):
         code = main(["eisenstein", "--tau", "0.1+1.2i", *argv])
         assert code == 2
@@ -250,6 +262,25 @@ class TestTheta:
             values.append(json.loads(out)["re"])
         assert values[0] == pytest.approx(20**0.5, abs=1e-12)
         assert abs(values[1] - values[0]) > 1e-6
+
+
+    def test_huge_real_v(self, capsys):
+        # theta_1(v + 1) = -theta_1(v), and 1e300 is even: theta_1(0 | i) = 0
+        code, out = run(capsys, "theta", "--classical", "1", "--v", "1e300", "--z", "1i")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(complex(payload["re"], payload["im"])) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [["theta", "--a", "1e300", "--b", "0", "--z", "1i"],
+                                      ["conformal", "--z", "1.1i", "--a", "1e300"]])
+    def test_huge_characteristic_returns_at_once(self, capsys, monkeypatch, argv):
+        # Re a is reduced modulo 2 first; both spent the whole MAX_TERMS budget
+        monkeypatch.setattr(modforms, "MAX_TERMS", 100)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        if argv[0] == "theta":
+            assert json.loads(out)["re"] == pytest.approx(math.pi**0.25 / math.gamma(0.75),
+                                                          rel=1e-14)
 
 
 class TestConformal:

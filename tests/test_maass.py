@@ -12,9 +12,13 @@ from halphen_lab.errors import (
     CutoffTooLarge, DivergentParameter, DomainError, PoleAtS, StepTooLarge
 )
 from halphen_lab.maass import (
+    MODE_BAR,
     LatticeSumSpec,
-    _besselk,
+    _besselk_modes,
     _fourier_factors,
+    _mode_count,
+    _xi_condition,
+    _zeta_condition,
     completed_zeta,
     divisor_sigma,
     eisenstein_fourier,
@@ -156,18 +160,26 @@ class TestScalarHelpers:
             with pytest.raises(PoleAtS):
                 completed_zeta(s)
 
+    @staticmethod
+    def modes(x1):
+        # every mode the shared table returns, as many as stay above e^-700
+        count = min(30, max(1, int(700 // x1)))
+        return count, x1 * np.arange(1, count + 1)
+
     def test_bessel_half_integer_closed_form(self):
         # K_{1/2}(x) = sqrt(pi / 2x) e^{-x}; sanity for the kernel we rely on
-        xs = np.array([0.5, 2.0, 10.0])
-        exact = np.sqrt(np.pi / (2 * xs)) * np.exp(-xs)
-        assert _besselk(0.5, xs) == pytest.approx(exact, rel=1e-12)
-        assert _besselk(0.5, np.arange(1, 1)).shape == (0,)
+        for x1 in np.geomspace(0.2, 700.0, 25):
+            count, xs = self.modes(x1)
+            exact = np.sqrt(np.pi / (2 * xs)) * np.exp(-xs)
+            assert _besselk_modes(0.5, x1, count) == pytest.approx(exact, rel=1e-12), x1
+        assert _besselk_modes(0.5, 2.0, 0).shape == (0,)
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, -3.7, 10.0])
     def test_bessel_matches_mpmath(self, nu):
-        xs = np.geomspace(0.2, 700.0, 25)
-        ref = [float(mp.besselk(nu, x)) for x in xs]
-        assert _besselk(nu, xs) == pytest.approx(ref, rel=1e-13, abs=0)
+        for x1 in np.geomspace(0.2, 700.0, 25):
+            count, xs = self.modes(x1)
+            ref = [float(mp.besselk(nu, x)) for x in xs]
+            assert _besselk_modes(nu, x1, count) == pytest.approx(ref, rel=1e-13, abs=0), x1
 
 
 class TestLattice:
@@ -272,6 +284,10 @@ class TestFourier:
         for s in (1e-7, -1e-7):
             assert abs(eisenstein_fourier(s, tau).value + 1) <= 1e-6
 
+    def test_negative_n_max_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="n_max must be >= 0"):
+            eisenstein_fourier(2.0, 1j, n_max=-1)
+
     def test_one_half_is_still_a_pole(self):
         with pytest.raises(PoleAtS):
             eisenstein_fourier(0.5, 1.1j)
@@ -290,8 +306,8 @@ class TestFourier:
             assert abs(completed(s, tau) - ref) <= 1e-14 * abs(ref)
 
     def test_cached_factors_keep_the_bits(self):
-        # 40 seeded (s, tau), s = 0, negative s and s >= 55 among them; at
-        # s = 120 the expansion overflows (DomainError) on every run
+        # 40 seeded (s, tau), s = 0, negative s and s >= 55 among them; s = 120
+        # is finite, as F_n = sigma_{1-2s}(n) n^(s-1/2) stays in the float range
         rng = np.random.default_rng(43)
         s_list = [0.0, -1.0, -2.3, 55.0, 80.0, 120.0] + list(rng.uniform(-6.0, 60.0, 34))
         cases = [(float(s), complex(rng.uniform(-2, 2), rng.uniform(0.05, 3.0)),
@@ -304,21 +320,25 @@ class TestFourier:
             norm = 2 * riemann_zeta(2 * s)
             xi2s = math.inf if s == 0 else completed_zeta(2 * s)
             modes = [y**s, completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)]
-            last = 0.0
-            bessel = _besselk(s - 0.5, 2 * math.pi * np.arange(1, n_max + 1) * y).tolist()
-            for n, k in enumerate(bessel, 1):
-                if k == 0.0 or not math.isfinite(k):
-                    last = 0.0
+            x1, beta = 2 * math.pi * y, abs(s - 0.5)
+            count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)), n_max)
+            for n, k in enumerate(_besselk_modes(s - 0.5, x1, count).tolist(), 1):
+                if k == 0.0:
                     break
-                coef = 4 * math.sqrt(y) * divisor_sigma(2 * s - 1, n) / n ** (s - 0.5) * k / (
-                    2 * xi2s)
+                factor = divisor_sigma(-2 * beta, n) * n**beta
+                coef = 4 * math.sqrt(y) * factor * k / (2 * xi2s)
                 modes.append(coef * 2 * math.cos(2 * math.pi * n * x))
-                last = abs(coef) * 2
             total = 0.0
             for mode in modes:
                 total += mode
-            rounding = len(modes) * 2.0**-53 * sum(map(abs, modes))
-            return norm * total, abs(norm) * (last + rounding)
+            xi_cond = 0.0 if s == 0 else _xi_condition(2 * s)
+            rounding = 2.0**-53 * (
+                (n_max + 2) * sum(map(abs, modes))
+                + (_xi_condition(2 * s - 1) + xi_cond) * abs(modes[1])
+                + (2 * (beta + count * x1) + xi_cond) * sum(map(abs, modes[2:])))
+            value = norm * total
+            return value, abs(norm) * (tail + rounding) + 2.0**-53 * _zeta_condition(
+                2 * s) * abs(value)
 
         def values():
             out = []
@@ -335,10 +355,46 @@ class TestFourier:
         warm = values()
         assert _fourier_factors.cache_info().hits >= len(cases)
         assert warm == cold
-        assert [i for i, v in enumerate(cold) if isinstance(v, str)] == [5]  # s = 120
+        assert [i for i, v in enumerate(cold) if isinstance(v, str)] == []
         for case, got in zip(cases, cold):
-            if not isinstance(got, str):
-                assert got == uncached(*case), case
+            assert got == uncached(*case), case
+
+    @pytest.mark.parametrize(
+        "s", [-2.3, 0.25, 0.75, 1.5, 2.0, 3.0, 5.0, 8.0, 20.0, 40.0, 110.0]
+    )
+    def test_bar_covers_the_expansion(self, s):
+        # Im tau from sqrt(3)/2, where the most modes are summed, to 8, where
+        # the fewest are, and two images from outside the fundamental domain,
+        # each against the oracle at the point it folds to
+        rng = np.random.default_rng(61)
+        taus = [complex(0.5, math.sqrt(3) / 2)]
+        for y in np.geomspace(0.9, 8.0, 5):
+            x = rng.uniform(-0.5, 0.5)
+            while x * x + y * y < 1:
+                x = rng.uniform(-0.5, 0.5)
+            taus.append(complex(x, y))
+        taus += [-1 / taus[1], 3 - 1 / taus[2]]
+        for tau in taus:
+            got = eisenstein_fourier(s, tau)
+            ref = mpmath_fourier(s, fold_to_fundamental(tau))
+            assert abs(got.value - ref) <= got.est_error < math.inf, (tau, got, ref)
+
+    @pytest.mark.parametrize("s", [110.0, 120.0])
+    def test_large_s_stays_in_the_float_range(self, s):
+        # sigma_{2s-1}(n) overflowed a float from about s = 105 on; a 40-digit
+        # lattice sum over |m|, |n| <= 8 leaves out less than 10^-60 of E_s here
+        for tau in (1.1j, 0.3 + 2j, 8j):
+            with mp.workdps(40):
+                x, y = mp.mpf(tau.real), mp.mpf(tau.imag)
+                ref = sum((y / ((m + n * x) ** 2 + (n * y) ** 2)) ** s
+                          for m in range(-8, 9) for n in range(-8, 9) if m or n)
+            got = eisenstein_fourier(s, tau)
+            assert abs(got.value - ref) <= got.est_error <= 1e-14 * got.value, (tau, got)
+
+    def test_mode_search_when_the_zero_modes_dwarf_xi(self):
+        # 4/xi(342) over 2^-60 y^171 at y = 50 underflows a float: the mode
+        # search takes it in logs (it raised ValueError); E_171 is 2 y^171
+        assert eisenstein_fourier(171.0, 50j).value == pytest.approx(2 * 50.0**171, rel=1e-14)
 
     def test_pole_is_raised_on_every_call(self):
         for _ in range(2):

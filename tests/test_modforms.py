@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +174,37 @@ class TestTheta:
         rhs = cmath.exp(1j * math.pi * (z + 1)) * theta_char(ThetaChar(0, 1), z, z)
         assert abs(lhs - rhs) < 1e-12
 
+
+    def test_huge_real_v_costs_no_digits(self):
+        # Re v is reduced modulo 1 first, exactly: 1e14, 1e16 and 1e300 are
+        # even integers, so theta_3 there is theta_3(0) and theta_1 is
+        # theta_1(0) = 0 (the phase of the unreduced series was 1.1e-4 and
+        # 0.85 off at the first two)
+        assert theta(3, 1e14, 0.5j) == theta(3, 0.0, 0.5j)
+        for v in (1e16, 1e300):
+            assert abs(theta(1, v, 1j)) <= 1e-12
+
+    @pytest.mark.parametrize("a,k", [(0.375, 3), (0.375, 2**40 + 1), (complex(-0.6, 0.02), -7)])
+    def test_shift_of_v_by_an_integer(self, a, k):
+        # theta[a; b](v + k) = e^(i pi a k) theta[a; b](v), Re(a) k taken
+        # modulo 2 exactly
+        a = complex(a)
+        ch, v, z = ThetaChar(a, 0.2), 0.125 + 0.05j, 0.3 + 1.1j
+        phase = cmath.exp(1j * math.pi * float(Fraction(a.real) * k % 2) - math.pi * a.imag * k)
+        for f in (theta_char, theta_char_vderiv):
+            ref = phase * f(ch, v, z)
+            assert f(ch, v + k, z) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+    def test_huge_characteristic_is_reduced_modulo_two(self, monkeypatch):
+        # theta[a + 2; b] = theta[a; b]: Re a is reduced into [-1, 1] first,
+        # so a = 1e300 sums as a = 0 in a few terms (it spent the whole
+        # MAX_TERMS budget), and a in [-1, 1] is left as it is
+        monkeypatch.setattr(modforms, "MAX_TERMS", 40)
+        v, z = 0.1 - 0.05j, 0.2 + 1.1j
+        for a, reduced in ((1e300, 0.0), (0.25 + 2 * 10**6, 0.25),
+                           (complex(-5.5, 0.1), complex(0.5, 0.1)), (3.0, -1.0)):
+            for f in (theta_char, theta_char_vderiv):
+                assert f(ThetaChar(a, 0.3), v, z) == f(ThetaChar(reduced, 0.3), v, z), a
 
 class TestThetaVDeriv:
     def test_even_char_derivative_vanishes(self):
