@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     DivergentParameter,
     DomainError,
-    FitIllConditioned,
     KinematicsDegenerate,
     LatticePointHit,
     NotConverged,
@@ -58,7 +57,6 @@ __all__ = [
     "genus_one_propagator_momentum",
     "kronecker_eisenstein_Dn",
     "graph_D",
-    "decomposition_probe",
 ]
 
 
@@ -606,48 +604,3 @@ def _graph_lattice(mult: GraphMultiplicities, t: complex, R: int) -> MaassValue:
                     A, B = _half_transform(np.stack((W**k1, W**k2)), L)
                 value = _torus_sum(A * B, _half_transform(W2**k3, L))
     return _finite_sum(value, _dn_tail(mult.weight, t, R), f"the graph sum {mult.n}", t)
-
-
-def decomposition_probe(
-    n: int,
-    tau_list,
-    spec: LatticeSumSpec = LatticeSumSpec(),
-) -> dict:
-    """Fit D_n(tau) over tau_list against the Eisenstein ansatz
-
-        D_n = p_n + b_1 E_n/(4 pi)^n + sum_{r+s=n, r,s>=2}
-              c_{r,s} E_r E_s / (4 pi)^n
-
-    and report coefficients plus per-tau residuals.
-    """
-    if n not in (2, 3, 4):
-        raise DomainError("decomposition probe supports n in {2, 3, 4}")
-    taus = [ModularPoint(complex(t)) for t in tau_list]
-    pairs = [(r, n - r) for r in range(2, n - 1) if r <= n - r]
-    cols = 2 + len(pairs)
-    if len(taus) < cols + 1:
-        raise DomainError(f"need at least {cols + 1} tau samples")
-    A = np.zeros((len(taus), cols))
-    y = np.zeros(len(taus))
-    four_pi_n = (4 * math.pi) ** n
-    for i, mp in enumerate(taus):
-        y[i] = kronecker_eisenstein_Dn(n, mp, spec).value
-        A[i, 0] = 1.0
-        A[i, 1] = eisenstein_fourier(n, mp.tau).value / four_pi_n
-        for j, (r, s) in enumerate(pairs):
-            E_r, E_s = (eisenstein_fourier(w, mp.tau).value for w in (r, s))
-            A[i, 2 + j] = E_r * E_s / four_pi_n
-    cond = np.linalg.cond(A)
-    if cond > 1e10:
-        raise FitIllConditioned(f"design matrix condition number {cond:.2e}")
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    return {
-        "n": n,
-        "p_n": float(coef[0]),
-        "b_1": float(coef[1]),
-        "c_rs": {f"{r},{s}": float(coef[2 + j]) for j, (r, s) in enumerate(pairs)},
-        "residuals": [float(r) for r in resid],
-        "tau": [complex(t) for t in tau_list],
-        "condition": float(cond),
-    }

@@ -98,10 +98,11 @@ def _cmd_solve(args):
     from .halphen import RealTriAxial, integrate
 
     if args.halphen:
+        if args.system == "lagrange" or args.no_stop_on_root:
+            raise _UsageError("--halphen samples the Darboux-Halphen closed form: "
+                              "--system lagrange and --no-stop-on-root do not apply")
         traj = _closed_form_trajectory(args.t0, args.t1, args.samples, args.tol)
     else:
-        if args.init is None:
-            raise _UsageError("either --init or --halphen is required")
         init = RealTriAxial(parse_triple(args.init), args.t0)
         traj = integrate(args.system, init, args.t1, tol=args.tol,
                          stop_on_root=not args.no_stop_on_root)
@@ -118,10 +119,13 @@ def _cmd_curvature(args):
     from . import geometry
     from .halphen import RealTriAxial, Trajectory, integrate, taub_nut_family
 
+    if args.init is None and args.system == "lagrange":
+        raise _UsageError("--halphen and --taubnut are Darboux-Halphen solutions: "
+                          "--system lagrange does not apply")
     if args.halphen:
         traj = _closed_form_trajectory(args.t0, args.t1, args.samples, args.tol)
         system = "dh"
-    elif args.taubnut:
+    elif args.taubnut is not None:
         T0, Tstar = parse_floats(args.taubnut, 2)
         lo = max(T0, Tstar)
         T = lo + np.geomspace(0.05, 60.0, args.samples)
@@ -129,8 +133,6 @@ def _cmd_curvature(args):
         traj = Trajectory.from_samples("dh", T, Om)
         system = "dh"
     else:
-        if args.init is None:
-            raise _UsageError("one of --init, --halphen, --taubnut is required")
         init = RealTriAxial(parse_triple(args.init), args.t0)
         traj = integrate(args.system, init, args.t1, tol=args.tol)
         system = args.system
@@ -346,9 +348,10 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="integrate or sample a triple system")
     common(sp, tol=True)
     sp.add_argument("--system", choices=("dh", "lagrange"), default="dh")
-    sp.add_argument("--init", default=None, help="Omega1,Omega2,Omega3")
-    sp.add_argument("--halphen", action="store_true",
-                    help="sample the closed-form solution instead of integrating")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--init", default=None, help="Omega1,Omega2,Omega3")
+    source.add_argument("--halphen", action="store_true",
+                        help="sample the closed-form solution instead of integrating")
     sp.add_argument("--t0", type=float, required=True)
     sp.add_argument("--t1", type=float, required=True)
     sp.add_argument("--samples", type=_int_at_least(2), default=200)
@@ -359,9 +362,10 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("curvature", help="curvature norms and endpoint class")
     common(sp, tol=True)
     sp.add_argument("--system", choices=("dh", "lagrange"), default="dh")
-    sp.add_argument("--init", default=None)
-    sp.add_argument("--halphen", action="store_true")
-    sp.add_argument("--taubnut", default=None, help="T0,Tstar")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--init", default=None)
+    source.add_argument("--halphen", action="store_true")
+    source.add_argument("--taubnut", default=None, help="T0,Tstar")
     sp.add_argument("--t0", type=float, default=1.0)
     sp.add_argument("--t1", type=float, default=9.0)
     sp.add_argument("--samples", type=_int_at_least(2), default=300)
@@ -402,7 +406,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--aps", type=float, required=True, help="alpha' s")
     sp.add_argument("--apt", type=float, required=True, help="alpha' t")
     sp.add_argument("--form", choices=("gamma", "series", "both"), default="both")
-    sp.add_argument("--N", type=int, default=14)
+    sp.add_argument("--N", type=_int_at_least(0), default=14)
     sp.set_defaults(func=_cmd_amplitude)
 
     sp = sub.add_parser("theta", help="Jacobi theta values")

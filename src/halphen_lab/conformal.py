@@ -34,9 +34,16 @@ from .errors import (
     ThetaZeroDivision,
 )
 from .geometry import _curvature_blocks
-from .halphen import _CYC, _finite_triple, _fourth_powers, _halphen, _omega_ddot, _series
+from .halphen import _CYC, _finite_triple, _halphen, _omega_ddot
 from .halphen import _omega_dot as system_two_rhs, dh_rhs as system_one_rhs, schwarz_lambda
-from .modforms import ThetaChar, theta_char, theta_char_vderiv, weight2_transport
+from .modforms import (
+    ThetaChar,
+    _fourth_powers,
+    _series,
+    theta_char,
+    theta_char_vderiv,
+    weight2_transport,
+)
 
 __all__ = [
     "ConformalState",

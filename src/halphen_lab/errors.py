@@ -131,7 +131,3 @@ class CutoffTooLarge(HalphenLabError):
 
 class WeightTooLarge(HalphenLabError):
     """Graph weight or loop number beyond what the lattice sums support."""
-
-
-class FitIllConditioned(HalphenLabError):
-    """Least-squares design matrix for the decomposition fit is singular."""

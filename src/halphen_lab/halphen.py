@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DomainError, NotConverged, PoleHit, StepUnderflow, dump_json
-from .modforms import ModularPoint, Moebius, thetas_e2, weight2_transport
+from .modforms import Moebius, _fourth_powers, _series, thetas_e2, weight2_transport
 
 __all__ = [
     "TriAxial",
@@ -554,19 +554,6 @@ def integrate_ray(
 
 # ---------------------------------------------------------------------------
 # closed forms
-
-
-def _series(z: complex):
-    """(E2, theta2, theta3, theta4) at v = 0 and complex z, Im z >= 0.05: the
-    one q-series evaluation behind the closed forms, the Schwarz lambda and
-    the conformal w-solutions (one call of the shared-nome kernel)."""
-    ModularPoint(z).require_qseries_domain()
-    return thetas_e2(cmath.exp(1j * cmath.pi * z), cmath.exp(0.25j * cmath.pi * z))
-
-
-def _fourth_powers(th2, th3, th4):
-    """(theta2^4, theta3^4, theta4^4) by two squarings each."""
-    return (th2 * th2) * (th2 * th2), (th3 * th3) * (th3 * th3), (th4 * th4) * (th4 * th4)
 
 
 def _halphen(pref, e2, th2, th3, th4):

@@ -350,8 +350,7 @@ def _fourier_factors(s: float, n_max: int) -> tuple:
     wherever F_n does; an F_n past it is stored as inf, and E_s overflows
     (DomainError) only if its mode n is summed.
 
-    Cached on (s, n_max), never on tau.  lru_cache keeps no exception, so
-    PoleAtS at s = 1/2 is raised on every call.
+    Cached on (s, n_max), never on tau.
     """
     norm = 2 * riemann_zeta(2 * s)
     # xi(2s) has its pole at s = 0, where every mode divided by it vanishes
@@ -394,6 +393,9 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     _check_s(s)
     if s == 1:
         raise PoleAtS("E_s has a pole at s = 1")
+    if s == 0.5:
+        raise PoleAtS("E_s at s = 1/2 is the limit where the poles of zeta(2s) and "
+                      "xi(2s - 1) cancel, and that limit is not taken")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     tau = fold_to_fundamental(tau)

@@ -3,18 +3,19 @@
 Dedekind eta, holomorphic Eisenstein series E2/E4/E6, Jacobi theta
 functions (with characteristics and v-derivatives) and Moebius maps.
 All evaluators are plain truncated q-series in binary64: they sum until
-the running term drops below ``TOL * max(1, |partial|)`` (the theta
-functions take their own ``tol``), raise TruncationNotReached past
-``MAX_TERMS`` terms, and refuse to work below Im(tau) = 0.05, where a
-q-series is the wrong tool (fold into the fundamental domain first, as
-:func:`maass.fold_to_fundamental` does).
+their terms drop below ``TOL`` (relative to ``max(1, |partial|)`` for the
+theta functions, which take their own ``tol``), raise
+TruncationNotReached past ``MAX_TERMS`` terms, and refuse to work below
+Im(tau) = 0.05, where a q-series is the wrong tool (fold into the
+fundamental domain first, as :func:`maass.fold_to_fundamental` does).
 
-:func:`thetas_e2` is the shared-nome kernel behind the Halphen closed
-forms, the Schwarz lambda and the conformal w-solutions: E2, theta2,
-theta3 and theta4 at v = 0 from one set of powers of the nome.  It takes
-the nome itself, so it has no domain check; its complex-tau callers keep
-the Im(tau) >= 0.05 floor, and on the imaginary axis the real closed form
-reflects T < 1 to 1/T > 1 instead of approaching the floor.
+:func:`thetas_e2` is the one kernel for E2 and the theta constants at
+v = 0, one loop over powers of the nome; E4 and E6 are polynomials in the
+theta constants, so there is no Lambert series.  It takes the nome itself
+and has no domain check: :func:`_series` is its complex-tau entry with the
+Im(tau) >= 0.05 floor, and on the imaginary axis the real closed form
+reflects T < 1 to 1/T > 1 instead of approaching the floor.  Eta keeps its
+product: its theta form picks the wrong cube root near the cusp.
 """
 
 from __future__ import annotations
@@ -137,31 +138,17 @@ def dedekind_eta(tau) -> complex:
     raise TruncationNotReached(f"dedekind_eta: MAX_TERMS = {MAX_TERMS} factors spent")
 
 
-_EIS_COEF = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
-
-
-def _lambert(k: int, q):
-    """E_k = 1 + c_k sum_{m>=1} m^(k-1) q^m / (1 - q^m), stopping at the
-    first term below TOL * max(1, |partial|); TruncationNotReached past
-    MAX_TERMS.  A float q gives a float."""
-    coef, power = _EIS_COEF[k]
-    total = qm = 1.0
-    for m in range(1, MAX_TERMS + 1):
-        qm *= q
-        term = coef * m**power * qm / (1 - qm)
-        total += term
-        if abs(term) < TOL * max(1.0, abs(total)):
-            return total
-    raise TruncationNotReached(f"E{k} Lambert series: MAX_TERMS = {MAX_TERMS} terms spent")
-
-
 def eisenstein_holo(k: int, tau) -> complex:
-    """Holomorphic Eisenstein series E_k, k in {2, 4, 6}, by Lambert series."""
-    if k not in _EIS_COEF:
+    """Holomorphic Eisenstein series E_k, k in {2, 4, 6}, from the theta
+    constants of :func:`thetas_e2`: with a, b, c = theta2^4, theta3^4,
+    theta4^4, E4 = (a^2 + b^2 + c^2)/2 and E6 = (b + c)(a + b)(c - a)/2."""
+    if k not in (2, 4, 6):
         raise DomainError(f"k must be one of 2, 4, 6, got {k}")
-    pt = _as_point(tau)
-    pt.require_qseries_domain()
-    return _lambert(k, pt.q)
+    e2, *th = _series(tau)
+    if k == 2:
+        return e2
+    a, b, c = _fourth_powers(*th)
+    return (a * a + b * b + c * c) / 2 if k == 4 else (b + c) * (a + b) * (c - a) / 2
 
 
 _CLASSICAL_CHARS = {
@@ -256,23 +243,23 @@ def thetas_e2(p, p4):
     p = e^(i pi tau), |p| < 1, and p4 = p^(1/4) = e^(i pi tau/4):
 
         theta3, theta4 = 1 + 2 sum_{n>=1} (+-1)^n p^(n^2)
-        theta2         = 2 p^(1/4) sum_{n>=0} p^(n(n+1))
-        E2             = 1 - 24 sum_{m>=1} m q^m / (1 - q^m),   q = p^2
+        theta2         = 2 p^(1/4) B,      B  = sum_{n>=0} p^(n(n+1))
+        E2             = 3 + 12 B'/B - theta3^4 - theta4^4,
+                                           B' = sum_{n>=1} n(n+1) p^(n(n+1))
 
-    The powers come by recurrence, p^((n+1)^2) = p^(n^2) p^(2n+1), so the
-    three theta sums share one set of products and no exponential is taken
-    per term.  The same code runs on a float nome (tau = iS on the
-    imaginary axis, p = e^(-pi S)) in real arithmetic and on a complex one.
-    The theta sums stop at the first p^(n^2) below TOL, and E2 is the
-    Lambert series of :func:`eisenstein_holo`; either running past
-    MAX_TERMS raises TruncationNotReached.  Callers that need fourth
-    powers square twice (`halphen._fourth_powers`).
+    E2 is Halphen's E2 + theta3^4 + theta4^4 = 24 D log theta2 with
+    D = q d/dq, q = p^2.  The powers come by recurrence, p^((n+1)^2) =
+    p^(n^2) p^(2n+1), so the four sums share one set of products and no
+    exponential is taken per term.  The same code runs on a float nome
+    (tau = iS, p = e^(-pi S)) in real arithmetic and on a complex one.  The
+    loop stops once |p^(n^2)| and |n(n+1) p^(n(n+1))| are both below TOL;
+    past MAX_TERMS it raises TruncationNotReached.
     """
-    s = alt = b_sum = 0.0  # sum p^(n^2), sum (-1)^n p^(n^2), sum p^(n(n+1)), n >= 1
+    s = alt = b_sum = db_sum = 0.0  # sum p^(n^2), sum (-1)^n p^(n^2), B - 1, B', n >= 1
     a = b = 1.0  # p^(n^2), p^(n(n+1)) at n = 0
     odd = p  # p^(2n - 1)
     sign = 1.0
-    for _ in range(MAX_TERMS):
+    for n in range(1, MAX_TERMS + 1):
         a *= odd
         odd *= p
         b *= odd
@@ -281,11 +268,29 @@ def thetas_e2(p, p4):
         s += a
         alt += sign * a
         b_sum += b
-        if abs(a) < TOL:
+        db = n * (n + 1) * b
+        db_sum += db
+        if abs(a) < TOL and abs(db) < TOL:
             break
     else:
-        raise TruncationNotReached(f"thetas_e2: MAX_TERMS = {MAX_TERMS} theta terms spent")
-    return _lambert(2, p * p), 2 * p4 * (1 + b_sum), 1 + 2 * s, 1 + 2 * alt
+        raise TruncationNotReached(f"thetas_e2: MAX_TERMS = {MAX_TERMS} terms spent")
+    th3, th4 = 1 + 2 * s, 1 + 2 * alt
+    e2 = 3 + 12 * db_sum / (1 + b_sum) - (th3 * th3) * (th3 * th3) - (th4 * th4) * (th4 * th4)
+    return e2, 2 * p4 * (1 + b_sum), th3, th4
+
+
+def _series(tau):
+    """:func:`thetas_e2` at tau, Im tau >= 0.05: the one tau entry, behind E_k,
+    the Halphen closed forms, the Schwarz lambda and the conformal w."""
+    pt = _as_point(tau)
+    pt.require_qseries_domain()
+    z = pt.tau
+    return thetas_e2(cmath.exp(1j * cmath.pi * z), cmath.exp(0.25j * cmath.pi * z))
+
+
+def _fourth_powers(th2, th3, th4):
+    """(theta2^4, theta3^4, theta4^4) by two squarings each."""
+    return (th2 * th2) * (th2 * th2), (th3 * th3) * (th3 * th3), (th4 * th4) * (th4 * th4)
 
 
 def apply_moebius(M: Moebius, tau):

@@ -21,7 +21,6 @@ from halphen_lab.amplitudes import (
     _torus_sum,
     _weight_grid,
     _zeta_coef,
-    decomposition_probe,
     dimension_dn,
     genus_one_propagator,
     genus_one_propagator_momentum,
@@ -37,7 +36,6 @@ from halphen_lab.errors import (
     CutoffTooLarge,
     DivergentParameter,
     DomainError,
-    FitIllConditioned,
     KinematicsDegenerate,
     LatticePointHit,
     NotConverged,
@@ -655,38 +653,3 @@ class TestEisensteinReductions:
             box = _graph_lattice(graph, tau.tau, R).value
             assert box == pytest.approx(ref.value, rel=0.05 * (1 + math.log(R)) / R**2, abs=0)
         assert found == 6
-
-
-class TestDecompositionProbe:
-    TAUS = [1.0j, 1.4j, 0.3 + 1.1j, 2.0j, 0.5 + 1.7j]
-
-    def test_d2_coefficients(self):
-        out = decomposition_probe(2, self.TAUS)
-        assert abs(out["p_n"]) < 1e-3
-        assert out["b_1"] == pytest.approx(1.0, abs=1e-3)
-        assert out["c_rs"] == {}
-
-    def test_d3_constant(self):
-        out = decomposition_probe(3, self.TAUS)
-        assert out["p_n"] == pytest.approx(zeta(3) / 64, abs=1e-2 * zeta(3) / 64)
-        assert out["b_1"] == pytest.approx(1.0, abs=1e-2)
-
-    def test_d4_residual_decays_with_tau2(self):
-        # the two-Eisenstein ansatz is not exact at weight 4; the defect
-        # decays with tau_2, so the high-tau_2 sample fits better
-        out = decomposition_probe(4, [2.0j, 3.0j, 5.0j, 7.0j, 10.0j])
-        res = {t.imag: abs(r) for t, r in zip(out["tau"], out["residuals"])}
-        assert res[10.0] < res[2.0]
-
-    def test_needs_enough_samples(self):
-        with pytest.raises(DomainError):
-            decomposition_probe(2, [1.0j, 1.4j])
-
-    def test_ill_conditioned_fit(self):
-        # three equal tau give three equal rows: a rank-one design matrix
-        with pytest.raises(FitIllConditioned, match="condition number"):
-            decomposition_probe(2, [1.1j] * 3, LatticeSumSpec(R=10))
-
-    def test_bad_weight(self):
-        with pytest.raises(DomainError):
-            decomposition_probe(5, self.TAUS)

@@ -78,6 +78,15 @@ class TestSolve:
         assert code == 2
         assert "DomainError: tol must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--halphen", "--init", "1,2,3"], "argument --init: not allowed with argument --halphen"),
+        (["--halphen", "--system", "lagrange"], "--system lagrange and --no-stop-on-root"),
+        (["--halphen", "--no-stop-on-root"], "--system lagrange and --no-stop-on-root"),
+    ])
+    def test_halphen_rejects_integration_flags(self, capsys, argv, message):
+        assert main(["solve", *argv, "--t0", "1", "--t1", "2"]) == 1
+        assert message in capsys.readouterr().err
+
     def test_halphen_sampling_below_the_complex_floor(self, capsys):
         # T = 0.02 is Im(tau) = 0.02 < 0.05 for the complex series
         code, out = run(capsys, "solve", "--halphen", "--t0", "0.02", "--t1", "2",
@@ -106,6 +115,17 @@ class TestCurvature:
     def test_usage_error_too_few_samples(self, capsys, source):
         code = main(["curvature", *source, "--samples", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--halphen", "--taubnut", "0,-1"], "argument --taubnut: not allowed with argument --halphen"),
+        (["--taubnut", "0,-1", "--init", "1,2,3"], "argument --init: not allowed with argument"),
+        (["--halphen", "--system", "lagrange"], "--system lagrange does not apply"),
+        (["--taubnut", "0,-1", "--system", "lagrange"], "--system lagrange does not apply"),
+        ([], "one of the arguments --init --halphen --taubnut is required"),
+    ])
+    def test_one_source_and_its_system(self, capsys, argv, message):
+        assert main(["curvature", *argv]) == 1
+        assert message in capsys.readouterr().err
 
     def test_zero_initial_component_is_root_at_start(self, capsys):
         code = main(["curvature", "--init", "1,0,3"])
@@ -241,6 +261,16 @@ class TestAmplitude:
         assert payload["difference"] < 1e-10
         assert payload["alpha_u"] == pytest.approx(-0.25)
 
+    def test_negative_order_is_usage_error(self, capsys):
+        for N in ("-1", "-3"):
+            assert main(["amplitude", "--aps", "0.1", "--apt", "0.2", "--N", N]) == 1
+            assert f"argument --N: must be >= 0, got {N}" in capsys.readouterr().err
+        # N = 0 stays the bare pole prefactor
+        code, out = run(capsys, "amplitude", "--aps", "0.1", "--apt", "0.2", "--N", "0",
+                        "--form", "series")
+        assert code == 0
+        assert json.loads(out)["series"] == pytest.approx(1 / (0.1 * 0.2 * -0.3), rel=1e-15)
+
 
 class TestTheta:
     def test_classical_value(self, capsys):
@@ -374,6 +404,7 @@ class TestBadNumbers:
          "DomainError: theta needs a finite v"),
         (["theta", "--classical", "3", "--v", "20i", "--z", "1i"], 2,
          "DomainError: theta at v = 20j, tau = 1j overflows a float"),
+        (["eisenstein", "--s", "0.5", "--tau", "2i"], 2, "PoleAtS: E_s at s = 1/2 is the limit"),
     ])
     def test_typed_failure(self, capsys, argv, code, message):
         assert main(argv) == code

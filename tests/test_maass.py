@@ -289,7 +289,8 @@ class TestFourier:
             eisenstein_fourier(2.0, 1j, n_max=-1)
 
     def test_one_half_is_still_a_pole(self):
-        with pytest.raises(PoleAtS):
+        # named as itself, not as zeta's pole at 1 reached through zeta(2s)
+        with pytest.raises(PoleAtS, match=r"s = 1/2 is the limit where the poles of zeta\(2s\)"):
             eisenstein_fourier(0.5, 1.1j)
 
     @pytest.mark.parametrize("s", [0.25, 0.3, -0.5, -1.2, -2.3])

@@ -225,13 +225,11 @@ class TestThetaVDeriv:
 
 class TestSharedNomeKernel:
     def test_matches_general_evaluators(self):
-        # seeded tau with Im(tau) >= 0.3, against theta_char and the Lambert series
+        # seeded tau with Im(tau) >= 0.3, against theta_char
         rng = np.random.default_rng(31)
         for _ in range(40):
             z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
-            e2, th2, th3, th4 = thetas_e2(cmath.exp(1j * math.pi * z), cmath.exp(0.25j * math.pi * z))
-            ref = eisenstein_holo(2, z)
-            assert abs(e2 - ref) <= 1e-13 * max(1.0, abs(ref))
+            _, th2, th3, th4 = thetas_e2(cmath.exp(1j * math.pi * z), cmath.exp(0.25j * math.pi * z))
             for j, got in ((2, th2), (3, th3), (4, th4)):
                 ref = theta(j, 0, z)
                 assert abs(got - ref) <= 1e-13 * abs(ref)
@@ -251,10 +249,56 @@ class TestSharedNomeKernel:
         monkeypatch.setattr(modforms, "MAX_TERMS", 2)
         with pytest.raises(TruncationNotReached):
             thetas_e2(p, p4)
-        # enough terms for the theta sums but not for E2, whose |q| is larger
-        monkeypatch.setattr(modforms, "MAX_TERMS", 30)
-        with pytest.raises(TruncationNotReached, match="E2"):
-            thetas_e2(p, p4)
+
+
+def _mp_reference(mp, z):
+    """E2, E4, E6 by their Lambert series and theta2..4 at v = 0, at 40 digits."""
+    out = {}
+    with mp.workdps(40):
+        tau = mp.mpc(z.real, z.imag)
+        q = mp.exp(2j * mp.pi * tau)
+        for k, coef in ((2, -24), (4, 240), (6, -504)):
+            total, qm, m = 0, mp.mpc(1), 0
+            while True:
+                m += 1
+                qm *= q
+                term = m ** (k - 1) * qm / (1 - qm)
+                total += term
+                if abs(term) < mp.mpf(10) ** -45:
+                    break
+            out[f"E{k}"] = complex(1 + coef * total)
+        # jtheta's principal p^(1/4) is e^(i pi tau/4) for |Re tau| < 1
+        p = mp.exp(1j * mp.pi * tau)
+        for j in (2, 3, 4):
+            out[f"theta{j}"] = complex(mp.jtheta(j, 0, p))
+    return out
+
+
+class TestAgainstMpmath:
+    """E2, E4, E6 and theta2..4 at v = 0 against 40-digit mpmath on seeded
+    tau with |Re tau| <= 1, relative to max(1, |value|).  Below the
+    fundamental domain the error of E4 and E6 is up to 2e-15 max|theta|^8
+    absolute, so near their zeros close to the cusp the relative error
+    can exceed these bounds (9.4e-14 at tau = 0.7306+0.0668i, where
+    |E4| = 3.4 and |theta|^8 = 182; the Lambert series was 5.1e-13 off)."""
+
+    @pytest.mark.parametrize("y_lo, y_hi, bound", [
+        (math.sqrt(3) / 2, 3.0, 5e-15),
+        (0.3, math.sqrt(3) / 2, 5e-14),
+        (0.1, 0.3, 5e-14),
+        (0.05, 0.07, 5e-14),
+    ])
+    def test_q_series_constants(self, y_lo, y_hi, bound):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(53)
+        for _ in range(24):
+            z = complex(rng.uniform(-1.0, 1.0), rng.uniform(y_lo, y_hi))
+            ref = _mp_reference(mpmath, z)
+            _, th2, th3, th4 = thetas_e2(cmath.exp(1j * math.pi * z), cmath.exp(0.25j * math.pi * z))
+            got = {"E2": eisenstein_holo(2, z), "E4": eisenstein_holo(4, z),
+                   "E6": eisenstein_holo(6, z), "theta2": th2, "theta3": th3, "theta4": th4}
+            for name, value in got.items():
+                assert abs(value - ref[name]) <= bound * max(1.0, abs(ref[name])), (name, z)
 
 
 class TestMoebius:
