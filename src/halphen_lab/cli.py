@@ -3,7 +3,8 @@
 Every computation is exposed through a subcommand with machine-readable
 output (JSON by default, CSV for trajectories).  Exit codes: 0 success,
 1 usage error or an output pipe closed by its reader (`... | head -1`),
-2 numeric/integration failure.  Complex literals are
+2 numeric/integration failure.  A flag that the other arguments leave
+unused is a usage error, and no output is written.  Complex literals are
 written `a+bi` (e.g. `0+1i`, `1.3i`, `0.3+0.2i`).
 """
 
@@ -23,7 +24,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems with exit code 1."""
+    """argparse variant that reports usage problems with exit code 1 and
+    takes no abbreviation, so each `--name` token names one option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise _UsageError(message)
@@ -66,8 +71,20 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _emit(payload, out_path, is_text=False):
-    text = payload if is_text else dump_json(payload)
+class _Reads:
+    """The parsed arguments, recording the name of each one read."""
+
+    def __init__(self, args):
+        self._args = args
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+def _emit(payload, out_path):
+    text = payload if isinstance(payload, str) else dump_json(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -83,7 +100,7 @@ def _emit(payload, out_path, is_text=False):
 # subcommands
 
 
-def _closed_form_trajectory(t0, t1, samples, tol):
+def _closed_form_trajectory(t0, t1, samples):
     """The real Halphen solution sampled at `samples` evenly spaced T."""
     import numpy as np
 
@@ -91,26 +108,19 @@ def _closed_form_trajectory(t0, t1, samples, tol):
 
     T = np.linspace(t0, t1, samples)
     Om = np.array([halphen_closed_form_real(t).Omega for t in T])
-    return Trajectory.from_samples("dh", T, Om, tol=tol, meta={"source": "halphen-closed-form"})
+    return Trajectory.from_samples("dh", T, Om, meta={"source": "halphen-closed-form"})
 
 
 def _cmd_solve(args):
     from .halphen import RealTriAxial, integrate
 
     if args.halphen:
-        if args.system == "lagrange" or args.no_stop_on_root:
-            raise _UsageError("--halphen samples the Darboux-Halphen closed form: "
-                              "--system lagrange and --no-stop-on-root do not apply")
-        traj = _closed_form_trajectory(args.t0, args.t1, args.samples, args.tol)
+        traj = _closed_form_trajectory(args.t0, args.t1, args.samples)
     else:
         init = RealTriAxial(parse_triple(args.init), args.t0)
         traj = integrate(args.system, init, args.t1, tol=args.tol,
                          stop_on_root=not args.no_stop_on_root)
-    if args.format == "csv":
-        _emit(traj.to_csv(), args.out, is_text=True)
-    else:
-        _emit(traj.to_json(), args.out, is_text=True)
-    return 0
+    return traj.to_csv() if args.format == "csv" else traj.to_json()
 
 
 def _cmd_curvature(args):
@@ -119,11 +129,8 @@ def _cmd_curvature(args):
     from . import geometry
     from .halphen import RealTriAxial, Trajectory, integrate, taub_nut_family
 
-    if args.init is None and args.system == "lagrange":
-        raise _UsageError("--halphen and --taubnut are Darboux-Halphen solutions: "
-                          "--system lagrange does not apply")
     if args.halphen:
-        traj = _closed_form_trajectory(args.t0, args.t1, args.samples, args.tol)
+        traj = _closed_form_trajectory(args.t0, args.t1, args.samples)
         system = "dh"
     elif args.taubnut is not None:
         T0, Tstar = parse_floats(args.taubnut, 2)
@@ -161,8 +168,7 @@ def _cmd_curvature(args):
         report["endpoint"] = vars(geometry.classify_endpoint(traj))
     except HalphenLabError as exc:
         report["endpoint"] = {"error": str(exc)}
-    _emit(report, args.out)
-    return 0
+    return report
 
 
 def _cmd_flow(args):
@@ -173,20 +179,18 @@ def _cmd_flow(args):
     run = flow_run(init, args.t1, tol=args.tol)
     payload = run.to_dict()
     payload["volume_rate_residual"] = volume_rate_check(run)
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
 def _cmd_eisenstein(args):
     from .maass import LatticeSumSpec, eisenstein_fourier, eisenstein_lattice
 
     tau = parse_complex(args.tau)
-    spec = LatticeSumSpec(R=args.cutoff)
     out = {"s": args.s, "tau": str(tau)}
     methods = ("lattice", "fourier") if args.both_methods else (args.method,)
     for m in methods:
         val = (
-            eisenstein_lattice(args.s, tau, spec)
+            eisenstein_lattice(args.s, tau, LatticeSumSpec(R=args.cutoff))
             if m == "lattice"
             else eisenstein_fourier(args.s, tau)
         )
@@ -196,8 +200,7 @@ def _cmd_eisenstein(args):
             abs(out["lattice"]["value"] - out["fourier"]["value"])
             <= out["lattice"]["est_error"] + out["fourier"]["est_error"] + 1e-12
         )
-    _emit(out, args.out)
-    return 0
+    return out
 
 
 def _cmd_dsum(args):
@@ -206,19 +209,15 @@ def _cmd_dsum(args):
 
     tau = ModularPoint(parse_complex(args.tau))
     val = kronecker_eisenstein_Dn(args.n, tau, LatticeSumSpec(R=args.cutoff))
-    _emit(
-        {
-            "n": args.n,
-            "tau": str(tau.tau),
-            "cutoff": args.cutoff,
-            "value": val.value,
-            "est_error": val.est_error,
-            "note": val.note,
-            "convention": "prod tau2/(4*pi*|p|^2), p != 0 on every edge",
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "n": args.n,
+        "tau": str(tau.tau),
+        "cutoff": args.cutoff,
+        "value": val.value,
+        "est_error": val.est_error,
+        "note": val.note,
+        "convention": "prod tau2/(4*pi*|p|^2), p != 0 on every edge",
+    }
 
 
 def _cmd_graphd(args):
@@ -231,18 +230,14 @@ def _cmd_graphd(args):
         raise _UsageError(f"cannot parse integer multiplicities from {args.mult!r}")
     tau = ModularPoint(parse_complex(args.tau))
     val = graph_D(mult, tau, LatticeSumSpec(R=args.cutoff))
-    _emit(
-        {
-            "mult": list(mult.n),
-            "tau": str(tau.tau),
-            "cutoff": args.cutoff,
-            "value": val.value,
-            "est_error": val.est_error,
-            "note": val.note,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "mult": list(mult.n),
+        "tau": str(tau.tau),
+        "cutoff": args.cutoff,
+        "value": val.value,
+        "est_error": val.est_error,
+        "note": val.note,
+    }
 
 
 def _cmd_amplitude(args):
@@ -256,8 +251,7 @@ def _cmd_amplitude(args):
         out["series"] = tree_amplitude_series(k, args.N, tol=math.inf)
     if args.form == "both":
         out["difference"] = abs(out["gamma"] - out["series"])
-    _emit(out, args.out)
-    return 0
+    return out
 
 
 def _cmd_theta(args):
@@ -273,17 +267,13 @@ def _cmd_theta(args):
         fn = theta_char_vderiv if args.vderiv else theta_char
         val = fn(ch, v, z, args.tol)
         label = "theta_char_vderiv" if args.vderiv else "theta_char"
-    _emit(
-        {
-            "kind": label,
-            "v": str(v),
-            "z": str(z),
-            "re": val.real,
-            "im": val.imag,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "kind": label,
+        "v": str(v),
+        "z": str(z),
+        "re": val.real,
+        "im": val.imag,
+    }
 
 
 def _cmd_conformal(args):
@@ -304,33 +294,25 @@ def _cmd_conformal(args):
             "eisenstein": cp_f_eisenstein,
         }[args.cp]()
         res = cp_harmonic_check(field, args.rho, args.eta, args.h)
-        _emit(
-            {
-                "candidate": args.cp,
-                "rho": args.rho,
-                "eta": args.eta,
-                "h": args.h,
-                "residual": res,
-            },
-            args.out,
-        )
-        return 0
+        return {
+            "candidate": args.cp,
+            "rho": args.rho,
+            "eta": args.eta,
+            "h": args.h,
+            "residual": res,
+        }
     z = parse_complex(args.z)
     if args.ah_z0 is not None:
         w = ah_limit_solution(parse_complex(args.ah_z0), z)
     else:
         w = w_theta_solution(parse_complex(args.a), parse_complex(args.b), z)
     fi = first_integral(w.w)
-    _emit(
-        {
-            "z": str(z),
-            "w": [{"re": c.real, "im": c.imag} for c in w.w],
-            "lambda": {"re": w.lam.real, "im": w.lam.imag},
-            "first_integral": {"re": fi.real, "im": fi.imag},
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "z": str(z),
+        "w": [{"re": c.real, "im": c.imag} for c in w.w],
+        "lambda": {"re": w.lam.real, "im": w.lam.imag},
+        "first_integral": {"re": fi.real, "im": fi.imag},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +417,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
+        args = _Reads(build_parser().parse_args(argv))
+        payload = args.func(args)
+        out = args.out
+        # no flag may silently do nothing: the handler, or main for --out,
+        # must have read each one given
+        flags = dict.fromkeys(tok.partition("=")[0] for tok in argv if tok.startswith("--"))
+        unread = [f for f in flags if f[2:].replace("-", "_") not in args.read]
+        if unread:
+            raise _UsageError(f"not used with the other arguments: {', '.join(unread)}")
+        _emit(payload, out)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader is gone: point stdout at os.devnull, so that the
         # interpreter's flush of the unwritten rest at exit is silent too

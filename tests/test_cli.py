@@ -52,6 +52,7 @@ class TestSolve:
         )
         assert code == 0
         payload = json.loads(out)
+        assert payload["tol"] == 0.0  # a closed form has no tolerance
         Om = np.array(payload["Omega"])
         # closed-form ordering: Omega1 < 0 < Omega3 < Omega2
         assert np.all(Om[:, 0] < 0)
@@ -80,8 +81,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("argv, message", [
         (["--halphen", "--init", "1,2,3"], "argument --init: not allowed with argument --halphen"),
-        (["--halphen", "--system", "lagrange"], "--system lagrange and --no-stop-on-root"),
-        (["--halphen", "--no-stop-on-root"], "--system lagrange and --no-stop-on-root"),
+        (["--halphen", "--system", "lagrange"], "not used with the other arguments: --system"),
+        (["--halphen", "--no-stop-on-root"],
+         "not used with the other arguments: --no-stop-on-root"),
     ])
     def test_halphen_rejects_integration_flags(self, capsys, argv, message):
         assert main(["solve", *argv, "--t0", "1", "--t1", "2"]) == 1
@@ -119,8 +121,9 @@ class TestCurvature:
     @pytest.mark.parametrize("argv, message", [
         (["--halphen", "--taubnut", "0,-1"], "argument --taubnut: not allowed with argument --halphen"),
         (["--taubnut", "0,-1", "--init", "1,2,3"], "argument --init: not allowed with argument"),
-        (["--halphen", "--system", "lagrange"], "--system lagrange does not apply"),
-        (["--taubnut", "0,-1", "--system", "lagrange"], "--system lagrange does not apply"),
+        (["--halphen", "--system", "lagrange"], "not used with the other arguments: --system"),
+        (["--taubnut", "0,-1", "--system", "lagrange"],
+         "not used with the other arguments: --system"),
         ([], "one of the arguments --init --halphen --taubnut is required"),
     ])
     def test_one_source_and_its_system(self, capsys, argv, message):
@@ -143,6 +146,21 @@ class TestCurvature:
         payload = json.loads(out)
         assert payload["flags"]["SelfDual"]
         assert payload["endpoint"]["kind"] == "bolt"
+
+    def test_endpoint_error_is_reported(self, capsys):
+        # too few samples for the endpoint fit: the curvature is still printed
+        code, out = run(capsys, "curvature", "--halphen", "--samples", "20")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["samples"]) == 20
+        assert payload["endpoint"] == {"error": "need at least 30 samples, got 20"}
+
+    @pytest.mark.parametrize("system", [[], ["--system", "lagrange"]])
+    def test_init_integrates_the_system(self, capsys, system):
+        code, out = run(capsys, "curvature", "--init", "1,2,3", "--t0", "1", "--t1", "3",
+                        *system)
+        assert code == 0
+        assert json.loads(out)["system"] == (system[1] if system else "dh")
 
 
 class TestFlow:
@@ -336,6 +354,12 @@ class TestConformal:
         fi = complex(payload["first_integral"]["re"], payload["first_integral"]["im"])
         assert abs(fi - 0.25) < 1e-10
 
+    def test_ah_limit_first_integral(self, capsys):
+        code, out = run(capsys, "conformal", "--ah-z0", "3i", "--z", "1.1i")
+        assert code == 0
+        fi = json.loads(out)["first_integral"]
+        assert complex(fi["re"], fi["im"]) == pytest.approx(0.25, abs=1e-12)
+
 
 class TestBadNumbers:
     """Non-finite and overflowing input, and cutoffs or runs too large to
@@ -460,15 +484,60 @@ _SUBPARSERS = next(
 @pytest.mark.parametrize("name", sorted(_SUBPARSERS))
 def test_every_flag_is_read(name):
     # no flag may silently do nothing: each option of a subcommand is read
-    # as args.<dest> by its handler
+    # as args.<dest> by its handler, and --out by main, which writes the payload
     sp = _SUBPARSERS[name]
-    source = inspect.getsource(sp.get_default("func"))
+    handler = inspect.getsource(sp.get_default("func"))
+    reader = {"out": inspect.getsource(main)}
     unread = [
         a.option_strings[0]
         for a in sp._actions
-        if a.dest != "help" and f"args.{a.dest}" not in source
+        if a.dest != "help" and f"args.{a.dest}" not in reader.get(a.dest, handler)
     ]
     assert unread == []
+
+
+class TestUnreadFlags:
+    """A flag given but not read on the branch that the other arguments
+    select is a usage error: exit 1, nothing written, the flag named."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        ("curvature --taubnut 0,-1 --t0 5 --t1 50 --tol 1e-3", "--t0, --t1, --tol"),
+        ("curvature --init 1,2,3 --samples 40", "--samples"),
+        ("curvature --halphen --tol 1e-3", "--tol"),
+        ("solve --init 1,2,3 --t0 1 --t1 2 --samples 7", "--samples"),
+        ("solve --halphen --t0 1 --t1 2 --system dh", "--system"),
+        ("solve --halphen --t0 1 --t1 2 --tol 1e-3", "--tol"),
+        ("eisenstein --s 2 --tau 2i --cutoff 5", "--cutoff"),
+        ("eisenstein --s 2 --tau 2i --both-methods --method lattice", "--method"),
+        ("theta --classical 1 --vderiv --z 1i", "--vderiv"),
+        ("theta --classical 3 --a 0.5 --z 1i", "--a"),
+        ("conformal --cp cp2 --z 2i", "--z"),
+        ("conformal --z 1.1i --rho 3", "--rho"),
+        ("conformal --ah-z0 3i --a 0.4 --z 1.1i", "--a"),
+        ("amplitude --aps 0.1 --apt 0.2 --form gamma --N 5", "--N"),
+    ])
+    def test_unread_flag_is_usage_error(self, capsys, argv, flags):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: not used with the other arguments: {flags}\n"
+
+    def test_abbreviation_is_usage_error(self, capsys):
+        assert main(["solve", "--halphen", "--t0", "1", "--t1", "2", "--samp", "5"]) == 1
+        assert "usage error: unrecognized arguments: --samp 5" in capsys.readouterr().err
+
+    def test_usage_error_writes_no_out_file(self, tmp_path):
+        path = tmp_path / "e.json"
+        assert main(["eisenstein", "--s", "2", "--tau", "2i", "--cutoff", "5",
+                     "--out", str(path)]) == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", sorted(_SUBPARSERS))
+    def test_dest_is_the_long_option(self, name):
+        # main maps each --name token of argv to the dest `name`, - read as _
+        for a in _SUBPARSERS[name]._actions:
+            if a.dest != "help":
+                assert [s[2:].replace("-", "_") for s in a.option_strings] == [a.dest]
 
 
 def _run_isolated(code):
