@@ -41,7 +41,8 @@ from .errors import (
     WeightTooLarge,
 )
 from .maass import (
-    LatticeSumSpec, MaassValue, _check_array_size, eisenstein_fourier, riemann_zeta
+    LatticeSumSpec, MaassValue, _check_array_size, eisenstein_fourier, fold_to_fundamental,
+    riemann_zeta,
 )
 from .modforms import ModularPoint, dedekind_eta, theta
 
@@ -398,7 +399,10 @@ def kronecker_eisenstein_Dn(
 
     D_3 is its Eisenstein reduction E_3/(4 pi)^3 + zeta(3)/64, accurate to
     about 1e-15 at every tau; spec.R is checked but not used, and `note`
-    says so.  D_2 and D_4 are box sums at the cutoff R (`_dn_lattice`).
+    says so.  D_2 and D_4 are box sums at the cutoff R (`_dn_lattice`) at
+    the image of tau in the fundamental domain: D_n is SL(2,Z)-invariant,
+    and there the box is nearly a square of the lattice, which its bar
+    assumes.
     n in {2, 3, 4} are supported (higher n has no reduction to check and
     explodes in cost).
     """
@@ -409,7 +413,7 @@ def kronecker_eisenstein_Dn(
     R = _cutoff(spec.R)
     if n == 3:
         return _eisenstein_reduction(_D3, tau.tau, "D_3")
-    return _dn_lattice(n, tau.tau, R)
+    return _dn_lattice(n, fold_to_fundamental(tau), R)
 
 
 def _dn_lattice(n: int, t: complex, R: int) -> MaassValue:
@@ -542,8 +546,9 @@ def graph_D(
     (k1, k2, k3) a permutation of (1, 2, 2), is C_{2,2,1}: its Eisenstein
     reduction, accurate to about 1e-15, with spec.R checked but not used
     and the formula in `note`.  Every other one- or two-loop graph is
-    summed at the cutoff R (`_graph_lattice`).  Graphs with three or more
-    loops, bananas aside, raise WeightTooLarge.
+    summed at the cutoff R (`_graph_lattice`) at the image of tau in the
+    fundamental domain, like D_n.  Graphs with three or more loops, bananas
+    aside, raise WeightTooLarge.
     """
     if mult.weight > 6:
         raise WeightTooLarge("total weight capped at 6")
@@ -564,7 +569,7 @@ def graph_D(
 
     if loops == 2 and sorted((k1, k2, mult.weight - k1 - k2)) == [1, 2, 2]:
         return _eisenstein_reduction(_C221, tau.tau, f"the graph sum {mult.n}")
-    return _graph_lattice(mult, tau.tau, R)
+    return _graph_lattice(mult, fold_to_fundamental(tau), R)
 
 
 def _graph_lattice(mult: GraphMultiplicities, t: complex, R: int) -> MaassValue:

@@ -1,63 +1,13 @@
 """Exception hierarchy and JSON layout shared by all modules."""
 
-# float reprs that json spells differently
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
 
 def dump_json(payload) -> str:
-    """The package's JSON layout: the bytes of ``json.dumps(payload,
-    sort_keys=True, indent=1, default=lambda o: o.tolist())``.  Arrays
-    (anything with a ``tolist``) become nested lists without importing
-    numpy; json itself loads on first use, so importing a module does not
-    load it.
+    """The package's JSON layout: one line, keys sorted, arrays (anything
+    with a ``tolist``) as nested lists without importing numpy.  json
+    itself loads on first use, so importing a module does not load it."""
+    import json
 
-    json's indented layout runs its pure-Python encoder, so the layout is
-    written here directly: strings through json's C string encoder, floats
-    through ``float.__repr__``, and a list of plain finite floats in one
-    join.
-    """
-    from json.encoder import encode_basestring_ascii as string
-
-    def value(o, pad):  # pad: a newline and the indent of o's own level
-        if isinstance(o, str):
-            return string(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            text = float.__repr__(o)
-            return _JSON_FLOATS.get(text, text)
-        inner = pad + " "
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            try:
-                text = ("," + inner).join(map(float.__repr__, o))
-            except TypeError:  # not all floats
-                text = "n"
-            if "n" in text:  # an entry is not a float, or is nan or +-inf
-                text = ("," + inner).join([value(v, inner) for v in o])
-            return "[" + inner + text + pad + "]"
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = [key(k) + ": " + value(v, inner) for k, v in sorted(o.items())]
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
-        return value(o.tolist(), pad)
-
-    def key(k):
-        if isinstance(k, str):
-            return string(k)
-        if k is None or isinstance(k, (int, float)):  # bool is an int
-            return string(value(k, ""))
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-    return value(payload, "\n")
+    return json.dumps(payload, sort_keys=True, default=lambda o: o.tolist())
 
 
 class HalphenLabError(Exception):

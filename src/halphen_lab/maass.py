@@ -295,6 +295,7 @@ def _besselk_modes(nu: float, x1: float, count: int):
 
 
 MODE_BAR = 2.0**-60  # modes whose bound is below this share of the zero modes are not summed
+MAX_MODES = 30  # work bound: at most this many Fourier modes of E_s are summed
 
 
 def _tail_bound(n: int, beta: float, x1: float, inv_xi: float) -> float:
@@ -320,9 +321,9 @@ def _tail_bound(n: int, beta: float, x1: float, inv_xi: float) -> float:
     return math.exp(log_tail) if log_tail < 709 else math.inf
 
 
-def _mode_count(s: float, x1: float, xi2s: float, bar: float, n_max: int):
+def _mode_count(s: float, x1: float, xi2s: float, bar: float):
     """(N, tail) for `eisenstein_fourier`: N the first n >= 0 whose
-    `_tail_bound` from mode n + 1 on is below `bar`, at most n_max, and
+    `_tail_bound` from mode n + 1 on is below `bar`, at most MAX_MODES, and
     tail that bound from N + 1 on.  Every factor of the bound but
     4 e^(-n x1) / |xi(2s)| is >= 1, so the search starts just below the
     first n where this one falls under `bar`."""
@@ -330,18 +331,18 @@ def _mode_count(s: float, x1: float, xi2s: float, bar: float, n_max: int):
     n = 0
     if 0 < bar < math.inf and inv_xi > 0:
         first = (math.log(4 * inv_xi) - math.log(bar)) / x1
-        n = max(0, math.floor(min(n_max + 1.0, first)) - 1)
+        n = max(0, math.floor(min(MAX_MODES + 1.0, first)) - 1)
     while True:
         tail = _tail_bound(n + 1, beta, x1, inv_xi)
-        if tail < bar or n == n_max:
+        if tail < bar or n == MAX_MODES:
             return n, tail
         n += 1
 
 
 @functools.lru_cache(maxsize=256)
-def _fourier_factors(s: float, n_max: int) -> tuple:
+def _fourier_factors(s: float) -> tuple:
     """The factors of `eisenstein_fourier` that depend on s alone:
-    (2 zeta(2s), xi(2s), xi(2s - 1)/xi(2s), (F_n for n = 1 .. n_max),
+    (2 zeta(2s), xi(2s), xi(2s - 1)/xi(2s), (F_n for n = 1 .. MAX_MODES),
     conditions), the conditions those of the first, of the third and of
     1/xi(2s) (`_zeta_condition`), and F_n = sigma_{-2 beta}(n) n^beta,
     beta = |s - 1/2|, which is
@@ -350,7 +351,7 @@ def _fourier_factors(s: float, n_max: int) -> tuple:
     wherever F_n does; an F_n past it is stored as inf, and E_s overflows
     (DomainError) only if its mode n is summed.
 
-    Cached on (s, n_max), never on tau.
+    Cached on s, never on tau.
     """
     norm = 2 * riemann_zeta(2 * s)
     # xi(2s) has its pole at s = 0, where every mode divided by it vanishes
@@ -358,7 +359,7 @@ def _fourier_factors(s: float, n_max: int) -> tuple:
     ratio = completed_zeta(2 * s - 1) / xi2s
     beta = abs(s - 0.5)
     factors = []
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_MODES + 1):
         try:
             factors.append(divisor_sigma(-2 * beta, n) * n**beta)
         except OverflowError:
@@ -368,7 +369,7 @@ def _fourier_factors(s: float, n_max: int) -> tuple:
     return norm, xi2s, ratio, tuple(factors), conditions
 
 
-def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
+def eisenstein_fourier(s: float, tau) -> MaassValue:
     """E_s by the Bessel--Fourier expansion, for real s other than 1 and
     1/2 (PoleAtS).  At s = 1/2 the poles of zeta(2s) and xi(2s - 1) cancel,
     and that limit is not taken.
@@ -379,13 +380,13 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     vanishes at the pole s = 0 of xi(2s), so E_0 = 2 zeta(0) = -1.  E_s is
     SL(2,Z)-invariant, so tau is first folded into the fundamental domain,
     where Im tau >= sqrt(3)/2.  The factors that depend on s alone come
-    from `_fourier_factors`, computed once per (s, n_max).
+    from `_fourier_factors`, computed once per s.
 
     The modes 1 .. N are summed, N the first n whose tail bound
     (`_tail_bound`) from n + 1 on is below MODE_BAR of the zero modes, and
-    at most n_max; their Bessel factors come from one table
+    at most MAX_MODES; their Bessel factors come from one table
     (`_besselk_modes`).  The bar is the tail bound from mode N + 1 on plus
-    a rounding floor: 2^-53 per possible mode, n_max + 2, of the sum of
+    a rounding floor: 2^-53 per possible mode, MAX_MODES + 2, of the sum of
     |mode|, 2^-53 2 (|s - 1/2| + 2 pi N y) of the sum of |mode n| over
     n >= 1, and the rounding of the s-only factors where zeta or sin
     cancels (near s = 1/2, 1 and the trivial zeros of zeta(2s)).
@@ -396,17 +397,15 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     if s == 0.5:
         raise PoleAtS("E_s at s = 1/2 is the limit where the poles of zeta(2s) and "
                       "xi(2s - 1) cancel, and that limit is not taken")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
     tau = fold_to_fundamental(tau)
     x, y = tau.real, tau.imag
-    norm, xi2s, ratio, factors, (norm_cond, ratio_cond, xi_cond) = _fourier_factors(s, n_max)
+    norm, xi2s, ratio, factors, (norm_cond, ratio_cond, xi_cond) = _fourier_factors(s)
     try:  # the zero modes
         modes = [y**s, ratio * y ** (1 - s)]
     except OverflowError:
         modes = [math.inf]
     x1 = 2 * math.pi * y
-    count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)), n_max)
+    count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)))
     besselk = _besselk_modes(s - 0.5, x1, count)
     for n, (bessel, factor) in enumerate(zip(besselk.tolist(), factors), 1):
         if bessel == 0.0:  # underflow of the exponentially small tail
@@ -424,7 +423,7 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
     # |nu| + x) and the conditions of the s-only factors; 2 zeta(2s) is
     # negative at many s < 1/2 (s = 1/4 among them)
     per_mode = 2 * (abs(s - 0.5) + count * x1) + xi_cond
-    rounding = 2.0**-53 * ((n_max + 2) * sum(map(abs, modes)) + ratio_cond * abs(modes[1])
+    rounding = 2.0**-53 * ((MAX_MODES + 2) * sum(map(abs, modes)) + ratio_cond * abs(modes[1])
                            + per_mode * sum(map(abs, modes[2:])))
     est_error = abs(norm) * (tail + rounding) + 2.0**-53 * norm_cond * abs(value)
     return MaassValue(value=value, est_error=est_error)
@@ -432,13 +431,13 @@ def eisenstein_fourier(s: float, tau, n_max: int = 30) -> MaassValue:
 
 def laplacian_eigencheck(s: float, tau, h: float) -> float:
     """|y^2 (d_xx + d_yy) E_s - s(s-1) E_s| / |E_s| with 5-point stencils
-    on Fourier-path values (40 modes)."""
+    on Fourier-path values."""
     tau = _as_point(tau).tau
     x, y = tau.real, tau.imag
     check_step(h, y / 10, "Im(tau)/10")
 
     def E(xx, yy):
-        return eisenstein_fourier(s, complex(xx, yy), n_max=40).value
+        return eisenstein_fourier(s, complex(xx, yy)).value
 
     steps = (-2, -1, 0, 1, 2)
     e0 = E(x, y)

@@ -14,8 +14,9 @@ v = 0, one loop over powers of the nome; E4 and E6 are polynomials in the
 theta constants, so there is no Lambert series.  It takes the nome itself
 and has no domain check: :func:`_series` is its complex-tau entry with the
 Im(tau) >= 0.05 floor, and on the imaginary axis the real closed form
-reflects T < 1 to 1/T > 1 instead of approaching the floor.  Eta keeps its
-product: its theta form picks the wrong cube root near the cusp.
+reflects T < 1 to 1/T > 1 instead of approaching the floor.  Eta is the
+theta function with characteristics [1/3; 1] at 3 tau, Euler's pentagonal
+series, which needs no root of a theta constant.
 """
 
 from __future__ import annotations
@@ -118,24 +119,16 @@ def _as_point(tau) -> ModularPoint:
     return tau if isinstance(tau, ModularPoint) else ModularPoint(complex(tau))
 
 
+_ETA_CHAR = ThetaChar(1 / 3, 1)
+
+
 def dedekind_eta(tau) -> complex:
-    """eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), with q^(1/24) = e^(i pi tau/12)
-    so that eta(tau + 1) = e^(i pi/12) eta(tau)."""
+    """eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n) = sum_k (-1)^k q^((6k+1)^2/24)
+    (Euler's pentagonal theorem) = e^(-i pi/6) theta[1/3; 1](0 | 3 tau), with
+    q^(1/24) = e^(i pi tau/12) so that eta(tau + 1) = e^(i pi/12) eta(tau)."""
     pt = _as_point(tau)
     pt.require_qseries_domain()
-    q = pt.q
-    prefactor = cmath.exp(1j * cmath.pi * pt.tau / 12)
-    prod = 1.0 + 0j
-    qn = 1.0 + 0j
-    absq = abs(q)
-    for n in range(1, MAX_TERMS + 1):
-        qn *= q
-        prod *= 1 - qn
-        # remaining factors differ from 1 by < |q|^(n+1)/(1-|q|) in log
-        tail = absq ** (n + 1) / (1 - absq)
-        if tail < TOL:
-            return prefactor * prod
-    raise TruncationNotReached(f"dedekind_eta: MAX_TERMS = {MAX_TERMS} factors spent")
+    return cmath.exp(-1j * cmath.pi / 6) * theta_char(_ETA_CHAR, 0, 3 * pt.tau)
 
 
 def eisenstein_holo(k: int, tau) -> complex:

@@ -42,7 +42,7 @@ from halphen_lab.errors import (
     PoleHit,
     WeightTooLarge,
 )
-from halphen_lab.maass import LatticeSumSpec, eisenstein_fourier, riemann_zeta
+from halphen_lab.maass import LatticeSumSpec, eisenstein_fourier, fold_to_fundamental, riemann_zeta
 from halphen_lab.modforms import ModularPoint
 
 
@@ -270,7 +270,8 @@ class TestWeightGrid:
     @_GRID_R
     @_GRID_TAU
     def test_d2_is_sum_of_squares(self, tau, R):
-        ref = float(np.sum(_meshgrid_weight_grid(tau, R) ** 2))
+        # over the grid of the image of tau in the fundamental domain
+        ref = float(np.sum(_meshgrid_weight_grid(fold_to_fundamental(tau), R) ** 2))
         got = kronecker_eisenstein_Dn(2, ModularPoint(tau), LatticeSumSpec(R=R))
         assert got.value == pytest.approx(ref, rel=1e-14, abs=0)
 
@@ -377,6 +378,41 @@ class TestDn:
             kronecker_eisenstein_Dn(1, ModularPoint(1j))
         with pytest.raises(WeightTooLarge):
             kronecker_eisenstein_Dn(5, ModularPoint(1j))
+
+
+DOUBLE_BANANA = GraphMultiplicities((2, 0, 0, 0, 0, 2))
+_FAR_TAUS = [5.3 + 1.1j, 20.3 + 1.1j, 0.03 + 0.05j]
+
+
+class TestFolding:
+    """The box sums are SL(2,Z)-invariant, and their bars hold for a box
+    that is nearly a square of the lattice: tau is folded into the
+    fundamental domain first."""
+
+    @pytest.mark.parametrize("tau", _FAR_TAUS)
+    def test_far_tau_meets_eisenstein(self, tau):
+        # D_2 = E_2/(4 pi)^2 and the double banana is its square; unfolded,
+        # D_2 missed its bar 6x at 5.3 + 1.1i and 87x at 20.3 + 1.1i
+        ref = eisenstein_fourier(2, tau).value / (4 * math.pi) ** 2
+        d2 = kronecker_eisenstein_Dn(2, ModularPoint(tau), LatticeSumSpec(R=120))
+        assert abs(d2.value - ref) <= d2.est_error
+        banana = graph_D(DOUBLE_BANANA, ModularPoint(tau), LatticeSumSpec(R=20))
+        assert abs(banana.value - ref**2) <= banana.est_error
+
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, *_FAR_TAUS])
+    @pytest.mark.parametrize("f", [
+        lambda t: kronecker_eisenstein_Dn(2, t, LatticeSumSpec(R=120)),
+        lambda t: kronecker_eisenstein_Dn(4, t, LatticeSumSpec(R=20)),
+        lambda t: graph_D(DOUBLE_BANANA, t, LatticeSumSpec(R=20)),
+        lambda t: graph_D(GraphMultiplicities((2, 1, 0, 1, 0, 0)), t, LatticeSumSpec(R=20)),
+    ], ids=["D2", "D4", "double-banana", "C211"])
+    def test_invariance_witness(self, f, tau):
+        # |f(gamma tau) - f(tau)| <= bar(gamma tau) + bar(tau) for gamma = T and
+        # ST; S witnesses nothing, as the square box is S-invariant
+        base = f(ModularPoint(tau))
+        for moved in (tau + 1, -1 / (tau + 1)):
+            image = f(ModularPoint(moved))
+            assert abs(image.value - base.value) <= image.est_error + base.est_error, moved
 
 
 def _enumerated_dn(n, tau, R):

@@ -471,6 +471,23 @@ class TestOutputs:
             assert (os.fstat(fh.fileno()).st_ino, os.fstat(fh.fileno()).st_dev) == (
                 devnull.st_ino, devnull.st_dev)
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--halphen", "--t0", "1", "--t1", "3", "--samples", "20", "--format", "json"],
+        ["curvature", "--taubnut", "0,-1", "--samples", "40"],
+        ["flow", "--init", "1,2,3", "--t0", "1", "--t1", "3"],
+        ["eisenstein", "--s", "2", "--tau", "0.2+1.1i", "--both-methods"],
+        ["dsum", "--n", "2", "--tau", "1.1i", "--cutoff", "8"],
+        ["graphd", "--mult", "2,1,0,1,0,0", "--tau", "1.1i", "--cutoff", "4"],
+        ["amplitude", "--aps", "0.2", "--apt", "-0.3"],
+        ["theta", "--classical", "3", "--z", "0.1+1.1i"],
+        ["conformal", "--cp", "eisenstein"],
+    ], ids=lambda argv: argv[0])
+    def test_json_is_one_line(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("}\n")
+        assert isinstance(json.loads(out), dict)
+
     def test_unknown_command_is_usage_error(self, capsys):
         code = main(["frobnicate"])
         assert code == 1

@@ -12,6 +12,7 @@ from halphen_lab.errors import (
     CutoffTooLarge, DivergentParameter, DomainError, PoleAtS, StepTooLarge
 )
 from halphen_lab.maass import (
+    MAX_MODES,
     MODE_BAR,
     LatticeSumSpec,
     _besselk_modes,
@@ -258,9 +259,10 @@ class TestFourier:
         assert abs(a.value - b.value) < 1e-12 * abs(a.value)
 
     def test_zero_mode_truncation_bound(self):
-        y = 2.0
-        full = eisenstein_fourier(1.5, 1j * y).value
-        zero_modes = eisenstein_fourier(1.5, 1j * y, n_max=0).value
+        y, s = 2.0, 1.5
+        full = eisenstein_fourier(s, 1j * y).value
+        zero_modes = 2 * riemann_zeta(2 * s) * (
+            y**s + completed_zeta(2 * s - 1) / completed_zeta(2 * s) * y ** (1 - s))
         # first dropped term (n = +-1) in the lattice-normalized expansion
         bound = (
             2
@@ -284,9 +286,13 @@ class TestFourier:
         for s in (1e-7, -1e-7):
             assert abs(eisenstein_fourier(s, tau).value + 1) <= 1e-6
 
-    def test_negative_n_max_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="n_max must be >= 0"):
-            eisenstein_fourier(2.0, 1j, n_max=-1)
+    def test_mode_count_is_capped(self):
+        # no tail bound is below a bar of 0: the search stops at MAX_MODES,
+        # with the finite bound from there on, at the bottom of the domain
+        x1 = 2 * math.pi * math.sqrt(3) / 2
+        for s in (-2.3, 1.5, 40.0):
+            count, tail = _mode_count(s, x1, completed_zeta(2 * s), 0.0)
+            assert count == MAX_MODES and 0 < tail < math.inf, s
 
     def test_one_half_is_still_a_pole(self):
         # named as itself, not as zeta's pole at 1 reached through zeta(2s)
@@ -311,10 +317,9 @@ class TestFourier:
         # is finite, as F_n = sigma_{1-2s}(n) n^(s-1/2) stays in the float range
         rng = np.random.default_rng(43)
         s_list = [0.0, -1.0, -2.3, 55.0, 80.0, 120.0] + list(rng.uniform(-6.0, 60.0, 34))
-        cases = [(float(s), complex(rng.uniform(-2, 2), rng.uniform(0.05, 3.0)),
-                  int(rng.choice([0, 1, 30, 40]))) for s in s_list]
+        cases = [(float(s), complex(rng.uniform(-2, 2), rng.uniform(0.05, 3.0))) for s in s_list]
 
-        def uncached(s, tau, n_max):
+        def uncached(s, tau):
             # the expansion with every s-only factor rebuilt on each call
             tau = fold_to_fundamental(tau)
             x, y = tau.real, tau.imag
@@ -322,7 +327,7 @@ class TestFourier:
             xi2s = math.inf if s == 0 else completed_zeta(2 * s)
             modes = [y**s, completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)]
             x1, beta = 2 * math.pi * y, abs(s - 0.5)
-            count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)), n_max)
+            count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)))
             for n, k in enumerate(_besselk_modes(s - 0.5, x1, count).tolist(), 1):
                 if k == 0.0:
                     break
@@ -334,7 +339,7 @@ class TestFourier:
                 total += mode
             xi_cond = 0.0 if s == 0 else _xi_condition(2 * s)
             rounding = 2.0**-53 * (
-                (n_max + 2) * sum(map(abs, modes))
+                (MAX_MODES + 2) * sum(map(abs, modes))
                 + (_xi_condition(2 * s - 1) + xi_cond) * abs(modes[1])
                 + (2 * (beta + count * x1) + xi_cond) * sum(map(abs, modes[2:])))
             value = norm * total
@@ -343,9 +348,9 @@ class TestFourier:
 
         def values():
             out = []
-            for s, tau, n_max in cases:
+            for s, tau in cases:
                 try:
-                    v = eisenstein_fourier(s, tau, n_max)
+                    v = eisenstein_fourier(s, tau)
                     out.append((v.value, v.est_error))
                 except DomainError as exc:
                     out.append(str(exc))

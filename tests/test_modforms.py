@@ -252,7 +252,8 @@ class TestSharedNomeKernel:
 
 
 def _mp_reference(mp, z):
-    """E2, E4, E6 by their Lambert series and theta2..4 at v = 0, at 40 digits."""
+    """E2, E4, E6 by their Lambert series, eta by its product and theta2..4 at
+    v = 0, at 40 digits."""
     out = {}
     with mp.workdps(40):
         tau = mp.mpc(z.real, z.imag)
@@ -267,6 +268,7 @@ def _mp_reference(mp, z):
                 if abs(term) < mp.mpf(10) ** -45:
                     break
             out[f"E{k}"] = complex(1 + coef * total)
+        out["eta"] = complex(mp.exp(1j * mp.pi * tau / 12) * mp.qp(q))
         # jtheta's principal p^(1/4) is e^(i pi tau/4) for |Re tau| < 1
         p = mp.exp(1j * mp.pi * tau)
         for j in (2, 3, 4):
@@ -275,8 +277,9 @@ def _mp_reference(mp, z):
 
 
 class TestAgainstMpmath:
-    """E2, E4, E6 and theta2..4 at v = 0 against 40-digit mpmath on seeded
-    tau with |Re tau| <= 1, relative to max(1, |value|).  Below the
+    """E2, E4, E6, eta and theta2..4 at v = 0 against 40-digit mpmath on
+    seeded tau with |Re tau| <= 1, relative to max(1, |value|), and to
+    |value| for eta, which falls to 0.02 at Im tau = 0.05.  Below the
     fundamental domain the error of E4 and E6 is up to 2e-15 max|theta|^8
     absolute, so near their zeros close to the cusp the relative error
     can exceed these bounds (9.4e-14 at tau = 0.7306+0.0668i, where
@@ -296,9 +299,11 @@ class TestAgainstMpmath:
             ref = _mp_reference(mpmath, z)
             _, th2, th3, th4 = thetas_e2(cmath.exp(1j * math.pi * z), cmath.exp(0.25j * math.pi * z))
             got = {"E2": eisenstein_holo(2, z), "E4": eisenstein_holo(4, z),
-                   "E6": eisenstein_holo(6, z), "theta2": th2, "theta3": th3, "theta4": th4}
+                   "E6": eisenstein_holo(6, z), "theta2": th2, "theta3": th3, "theta4": th4,
+                   "eta": dedekind_eta(z)}
             for name, value in got.items():
-                assert abs(value - ref[name]) <= bound * max(1.0, abs(ref[name])), (name, z)
+                scale = abs(ref[name]) if name == "eta" else max(1.0, abs(ref[name]))
+                assert abs(value - ref[name]) <= bound * scale, (name, z)
 
 
 class TestMoebius:
