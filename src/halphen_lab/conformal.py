@@ -34,7 +34,7 @@ from .errors import (
     ThetaZeroDivision,
 )
 from .geometry import _curvature_blocks
-from .halphen import _CYC, _finite_triple, _halphen, _omega_ddot
+from .halphen import _CYC, _circle, _finite_triple, _halphen, _omega_ddot
 from .halphen import _omega_dot as system_two_rhs, dh_rhs as system_one_rhs, schwarz_lambda
 from .modforms import (
     ThetaChar,
@@ -169,22 +169,18 @@ def w_lambda_rhs(w, lam):
     return (w2 * w3 / lam, w3 * w1 / (lam - 1), w1 * w2 / (lam * (lam - 1)))
 
 
-def w_lambda_system_residual(w_of_z, z: complex, h: float):
-    """Residuals of the lambda-form of system II for a callable
-    z -> WVars, using d w/d lambda = (d w/d z) / lambda'(z)."""
-    z = complex(z)
-    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
-    lam = schwarz_lambda(z)
-    lam_prime = numdiff.deriv1(schwarz_lambda, z, h)
+def w_lambda_system_residual(w_of_z, z: complex):
+    """Residuals of the lambda-form of system II for a callable z -> WVars,
+    holomorphic on |t - z| < Im(z): d w/d lambda = (d w/d z) / lambda'(z),
+    with w and lambda differentiated by one `numdiff.deriv1` call."""
+    import numpy as np
+
+    z, r = _circle(z)
+    *dwdz, lam_prime = numdiff.deriv1(lambda t: np.array((*w_of_z(t).w, schwarz_lambda(t))), z, r)
     if abs(lam_prime) < 1e-14:
         raise SingularLambda("lambda'(z) vanishes; lambda is not a coordinate here")
-    w = w_of_z(z).w
-    rhs = w_lambda_rhs(w, lam)
-    res = []
-    for i in range(3):
-        dwdz = numdiff.deriv1(lambda t, i=i: w_of_z(t).w[i], z, h)
-        res.append(abs(dwdz / lam_prime - rhs[i]))
-    return tuple(res)
+    rhs = w_lambda_rhs(w_of_z(z).w, schwarz_lambda(z))
+    return tuple(abs(d / lam_prime - f) for d, f in zip(dwdz, rhs))
 
 
 def sl2_generate_pair(delta_fn, omega_fn, M):

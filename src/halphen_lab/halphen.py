@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DomainError, NotConverged, PoleHit, StepUnderflow, dump_json
-from .modforms import Moebius, _fourth_powers, _series, thetas_e2, weight2_transport
+from .modforms import Moebius, _as_point, _fourth_powers, _series, thetas_e2, weight2_transport
 
 __all__ = [
     "TriAxial",
@@ -99,11 +99,10 @@ class ModularTriplet:
     E1: complex
     E2: complex
     E3: complex
-    tol: float = 1e-10
 
     def __post_init__(self):
         scale = max(1.0, abs(self.E1), abs(self.E2), abs(self.E3))
-        if abs(self.E1 - self.E2 + self.E3) > self.tol * scale:
+        if abs(self.E1 - self.E2 + self.E3) > 1e-10 * scale:
             raise DomainError("triplet violates E1 - E2 + E3 = 0")
 
 
@@ -632,21 +631,20 @@ def sl2_generate_real(sol, A: float, B: float, C: float, D: float):
     return lambda T: RealTriAxial(w(T), T)
 
 
-def dh_residual(sol, z, h=None) -> float:
+def _circle(z):
+    """z, checked by `ModularPoint`, and the radius Im(z)/3 of the circle on
+    which the residual checks sample."""
+    z = _as_point(z).tau
+    return z, z.imag / 3
+
+
+def dh_residual(sol, z) -> float:
     """Max-norm residual of the Darboux-Halphen equations for a callable
-    z -> TriAxial, derivatives by 4th-order central differences with a
-    step h <= Im(z)/10 (by default 1e-4 max(Im z, 0.1), within that cap)."""
-    z = complex(z)
-    if h is None:
-        h = min(1e-4 * max(abs(z.imag), 0.1), abs(z.imag) / 10)
-    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
-    w = _components(sol(z))
-    rhs = dh_rhs(w)
-    res = 0.0
-    for i in range(3):
-        deriv = numdiff.deriv1(lambda t, i=i: _components(sol(t))[i], z, h)
-        res = max(res, abs(deriv - rhs[i]))
-    return res
+    z -> TriAxial, holomorphic on |t - z| < Im(z); the derivatives of all
+    three components come from one `numdiff.deriv1` call."""
+    z, r = _circle(z)
+    deriv = numdiff.deriv1(lambda t: np.array(_components(sol(t))), z, r)
+    return max(abs(deriv - dh_rhs(sol(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -659,31 +657,29 @@ def schwarz_lambda(z) -> complex:
     return t2 / t3
 
 
-def schwarz_residual(lambda_fn, z, h) -> float:
-    """|Schwarz expression| for a candidate lambda(z):
+def schwarz_residual(lambda_fn, z) -> float:
+    """|Schwarz expression| for a candidate lambda(z), holomorphic on
+    |t - z| < Im(z), with derivatives by `numdiff`:
 
     lambda'''/lambda' - (3/2)(lambda''/lambda')^2
       + (1/2)(1/l^2 + 1/(l-1)^2 - 1/(l(l-1))) lambda'^2
     """
-    z = complex(z)
-    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
+    z, r = _circle(z)
     lam = lambda_fn(z)
-    d1 = numdiff.deriv1(lambda_fn, z, h)
-    d2 = numdiff.deriv2(lambda_fn, z, h)
-    d3 = numdiff.deriv3(lambda_fn, z, h)
+    d1, d2, d3 = (d(lambda_fn, z, r) for d in (numdiff.deriv1, numdiff.deriv2, numdiff.deriv3))
     expr = d3 / d1 - 1.5 * (d2 / d1) ** 2 + 0.5 * (
         1 / lam**2 + 1 / (lam - 1) ** 2 - 1 / (lam * (lam - 1))
     ) * d1**2
     return abs(expr)
 
 
-def dh_from_lambda(lambda_fn, z, h) -> ModularTriplet:
-    """Triplet (lambda'/lambda, lambda'/(lambda-1), lambda'/(lambda(lambda-1)))."""
-    z = complex(z)
-    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
+def dh_from_lambda(lambda_fn, z) -> ModularTriplet:
+    """Triplet (lambda'/lambda, lambda'/(lambda-1), lambda'/(lambda(lambda-1)))
+    for lambda holomorphic on |t - z| < Im(z), lambda' by `numdiff`."""
+    z, r = _circle(z)
     lam = lambda_fn(z)
-    d1 = numdiff.deriv1(lambda_fn, z, h)
-    return ModularTriplet(d1 / lam, d1 / (lam - 1), d1 / (lam * (lam - 1)), tol=1e-6)
+    d1 = numdiff.deriv1(lambda_fn, z, r)
+    return ModularTriplet(d1 / lam, d1 / (lam - 1), d1 / (lam * (lam - 1)))
 
 
 def chazy_from_dh(state) -> ChazyData:
@@ -697,14 +693,12 @@ def chazy_from_dh(state) -> ChazyData:
     )
 
 
-def chazy_residual(y_fn, z, h) -> float:
-    """|y''' - 2 y y'' + 3 (y')^2| by central differences."""
-    z = complex(z)
-    numdiff.check_step(h, z.imag / 10, "Im(z)/10")
+def chazy_residual(y_fn, z) -> float:
+    """|y''' - 2 y y'' + 3 (y')^2| for y holomorphic on |t - z| < Im(z),
+    derivatives by `numdiff`."""
+    z, r = _circle(z)
     y = y_fn(z)
-    d1 = numdiff.deriv1(y_fn, z, h)
-    d2 = numdiff.deriv2(y_fn, z, h)
-    d3 = numdiff.deriv3(y_fn, z, h)
+    d1, d2, d3 = (d(y_fn, z, r) for d in (numdiff.deriv1, numdiff.deriv2, numdiff.deriv3))
     return abs(d3 - 2 * y * d2 + 3 * d1 * d1)
 
 

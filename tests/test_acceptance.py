@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from halphen_lab import geometry
+from halphen_lab import geometry, numdiff
 from halphen_lab.amplitudes import (
     Mandelstam,
     _dn_lattice,
@@ -24,18 +24,21 @@ from halphen_lab.conformal import (
     cp_f_heisenberg,
     cp_harmonic_check,
     first_integral,
+    w_lambda_rhs,
     w_lambda_system_residual,
     w_theta_solution,
 )
 from halphen_lab.halphen import (
     RealTriAxial,
     chazy_residual,
+    dh_from_lambda,
     dh_residual,
     halphen_closed_form,
     halphen_closed_form_real,
     integrate,
     omegas_from_chazy,
     chazy_from_dh,
+    halphen_triplet,
     reflection_check,
     schwarz_lambda,
     schwarz_residual,
@@ -63,7 +66,7 @@ from halphen_lab.modforms import (
 def test_01_halphen_solves_dh():
     # closed form satisfies the quadratic system along the imaginary axis
     for T in np.linspace(0.2, 3.0, 50):
-        assert dh_residual(halphen_closed_form, complex(0, T)) < 1e-8
+        assert dh_residual(halphen_closed_form, complex(0, T)) < 1e-10
 
 
 def test_02_self_duality_of_both_branches():
@@ -132,9 +135,9 @@ def test_06_ricci_flow_trapping_and_asymptote():
 
 def test_07_chazy_schwarz_correspondences():
     z = 0.1 + 1.1j
-    assert schwarz_residual(schwarz_lambda, z, 1e-3) < 1e-4
+    assert schwarz_residual(schwarz_lambda, z) < 1e-11
     y_fn = lambda t: 1j * math.pi * eisenstein_holo(2, t)
-    assert chazy_residual(y_fn, z, 1e-3) < 1e-4
+    assert chazy_residual(y_fn, z) < 1e-11
     # cubic reconstruction: the omegas are the roots of the Chazy cubic
     cd = chazy_from_dh(halphen_closed_form(z))
     rec = omegas_from_chazy(cd, reference=halphen_closed_form(z).omega)
@@ -157,7 +160,7 @@ def test_08_sl2_solution_generation():
         if mapped.imag < 0.4:
             continue
         gen = sl2_generate(halphen_closed_form, M)
-        assert dh_residual(gen, z) < 1e-7
+        assert dh_residual(gen, z) < 1e-12
         count += 1
 
 
@@ -205,8 +208,8 @@ def test_11_tree_amplitude():
 def test_12_conformal_sector():
     sol = w_theta_solution(0.3, 0.7, 1.1j)
     assert abs(first_integral(sol.w) - 0.25) < 1e-10
-    res = w_lambda_system_residual(lambda z: w_theta_solution(0.3, 0.7, z), 1.1j, 1e-4)
-    assert max(res) < 1e-7
+    res = w_lambda_system_residual(lambda z: w_theta_solution(0.3, 0.7, z), 1.1j)
+    assert max(res) < 1e-11
     assert cp_harmonic_check(cp_f_cp2(), 1.0, 0.7, 1e-4) < 1e-6
     assert cp_harmonic_check(cp_f_heisenberg(), 2.0, 0.3, 1e-4) < 1e-6
     assert cp_harmonic_check(cp_f_eisenstein(), 1.0, 0.2, 1e-3) < 1e-4
@@ -235,3 +238,39 @@ def test_13_q_series_identity_suite():
         # the sign: d/dv theta1(0|z) = -2 pi eta(z)^3)
         d = theta_char_vderiv(ThetaChar(1, 1), 0.0, z)
         assert abs(d + 2 * math.pi * dedekind_eta(z) ** 3) < 1e-9
+
+
+# z where the residual checks must reach rounding: the w-system's lambda
+# comes within 0.05 of a branch point at the last two
+_RESIDUAL_Z = [1j, 0.3 + 1.1j, -0.4 + 0.7j, 0.1 + 0.3j, 2j]
+
+
+@pytest.mark.parametrize("z", _RESIDUAL_Z)
+def test_14_residual_checks_at_rounding(z):
+    # each residual is at most 1e-11 of the largest term of its equation
+    w1, w2, w3 = halphen_closed_form(z).omega
+    dh_scale = max(map(abs, (w2 * w3, w3 * w1, w1 * w2, w1 * (w2 + w3), w2 * (w3 + w1),
+                              w3 * (w1 + w2))))
+    assert dh_residual(halphen_closed_form, z) <= 1e-11 * dh_scale
+
+    cd = chazy_from_dh(halphen_closed_form(z))
+    chazy_scale = max(abs(2 * cd.y * cd.y_double_prime), abs(3 * cd.y_prime**2))
+    y_fn = lambda t: -2 * sum(halphen_closed_form(t).omega)
+    assert chazy_residual(y_fn, z) <= 1e-11 * chazy_scale
+
+    r = z.imag / 3
+    lam = schwarz_lambda(z)
+    d1, d2, d3 = (d(schwarz_lambda, z, r) for d in (numdiff.deriv1, numdiff.deriv2,
+                                                    numdiff.deriv3))
+    q = 1 / lam**2 + 1 / (lam - 1) ** 2 - 1 / (lam * (lam - 1))
+    schwarz_scale = max(abs(d3 / d1), abs(1.5 * (d2 / d1) ** 2), abs(0.5 * q * d1**2))
+    assert schwarz_residual(schwarz_lambda, z) <= 1e-11 * schwarz_scale
+
+    tri, ref = dh_from_lambda(schwarz_lambda, z), halphen_triplet(z)
+    pairs = ((tri.E1, ref.E1), (tri.E2, ref.E2), (tri.E3, ref.E3))
+    assert max(abs(a - b) for a, b in pairs) <= 1e-11 * max(abs(b) for _, b in pairs)
+
+    if z in _RESIDUAL_Z[:3]:
+        w_fn = lambda t: w_theta_solution(0.3, 0.7, t)
+        w_scale = max(map(abs, w_lambda_rhs(w_fn(z).w, lam)))
+        assert max(w_lambda_system_residual(w_fn, z)) <= 1e-11 * w_scale

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from halphen_lab import halphen as H
-from halphen_lab.errors import DomainError, NotConverged, StepTooLarge, StepUnderflow
+from halphen_lab.errors import DomainError, NotConverged, StepUnderflow
 from halphen_lab.halphen import (
     ChazyData,
     ModularTriplet,
@@ -38,7 +38,7 @@ from halphen_lab.halphen import (
     system_second_derivative,
     taub_nut_family,
 )
-from halphen_lab.conformal import ConformalState
+from halphen_lab.conformal import ConformalState, w_lambda_system_residual
 from halphen_lab.modforms import Moebius, eisenstein_holo
 
 
@@ -504,7 +504,7 @@ class TestClosedForm:
         rng = np.random.default_rng(23)
         for _ in range(20):
             z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 3.0))
-            assert dh_residual(halphen_closed_form, z) < 1e-8
+            assert dh_residual(halphen_closed_form, z) < 1e-12
 
     def test_real_form_ordering(self):
         for T in (0.3, 1.0, 2.5):
@@ -558,6 +558,17 @@ class TestClosedForm:
         assert abs(tri.E1 - tri.E2 + tri.E3) < 1e-10
         with pytest.raises(DomainError):
             ModularTriplet(1.0, 2.0, 3.0)
+
+    def test_lambda_triplet_meets_the_constraint_to_rounding(self):
+        # (l'/l, l'/(l-1), l'/(l(l-1))) has E1 - E2 + E3 = 0 by algebra, so
+        # dh_from_lambda needs no tolerance of its own
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            lam, d1 = complex(*rng.uniform(-3, 3, 2)), complex(*rng.uniform(-1e3, 1e3, 2))
+            if min(abs(lam), abs(lam - 1)) > 1e-3:
+                tri = ModularTriplet(d1 / lam, d1 / (lam - 1), d1 / (lam * (lam - 1)))
+                scale = max(1.0, abs(tri.E1), abs(tri.E2), abs(tri.E3))
+                assert abs(tri.E1 - tri.E2 + tri.E3) <= 1e-15 * scale
 
     def test_integrate_ray_matches_closed_form(self):
         # march up the imaginary axis from 0.5i and compare with the formula
@@ -617,7 +628,7 @@ class TestSL2:
             if abs(M.c * z + M.d) < 0.3 or w.imag < 0.4:
                 continue
             sol = sl2_generate(halphen_closed_form, M)
-            assert dh_residual(sol, z) < 1e-7
+            assert dh_residual(sol, z) < 1e-12
             count += 1
 
     def test_real_matrix_on_real_solution(self):
@@ -672,57 +683,45 @@ class TestTransportOracle:
 
 class TestSchwarz:
     def test_lambda_residual(self):
-        assert schwarz_residual(schwarz_lambda, 1.2j, 1e-3) < 1e-4
+        assert schwarz_residual(schwarz_lambda, 1.2j) < 1e-12
 
     def test_triplet_from_lambda(self):
         z = 1.2j
-        tri = dh_from_lambda(schwarz_lambda, z, 1e-5)
+        tri = dh_from_lambda(schwarz_lambda, z)
         ref = halphen_triplet(z)
         for got, want in ((tri.E1, ref.E1), (tri.E2, ref.E2), (tri.E3, ref.E3)):
-            assert abs(got - want) < 1e-6
+            assert abs(got - want) < 1e-13
 
     def test_lambda_decays(self):
         assert abs(schwarz_lambda(6j)) < 1e-6
-
-    def test_residual_step_too_large(self):
-        with pytest.raises(StepTooLarge):
-            schwarz_residual(schwarz_lambda, 1j, 0.5)
 
 
 _Y_FN = lambda z: 1j * math.pi * eisenstein_holo(2, z)  # noqa: E731
 
 
-_EACH_RESIDUAL = pytest.mark.parametrize(
-    "residual",
-    [
-        lambda h: dh_residual(halphen_closed_form, 1j, h=h),
-        lambda h: chazy_residual(_Y_FN, 1j, h),
-        lambda h: schwarz_residual(schwarz_lambda, 1j, h),
-        lambda h: dh_from_lambda(schwarz_lambda, 1j, h),
-    ],
-    ids=["dh_residual", "chazy_residual", "schwarz_residual", "dh_from_lambda"],
+def _unsampled(t):
+    raise AssertionError(f"sampled at {t}")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [dh_residual, chazy_residual, schwarz_residual, dh_from_lambda, w_lambda_system_residual],
 )
+@pytest.mark.parametrize(
+    "z", [1 - 1j, 2, 0j, complex(math.nan, 1), complex(0, math.inf), complex(math.inf, 1)]
+)
+def test_residual_checks_need_finite_z_in_the_upper_half_plane(check, z):
+    # the checks sample on a circle of radius Im(z)/3, so below the real
+    # axis they would return a number for a callable such as 1/z
+    with pytest.raises(DomainError, match=r"Im\(tau\) > 0"):
+        check(_unsampled, z)
 
 
-@_EACH_RESIDUAL
-@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
-def test_difference_step_must_be_positive(residual, h):
-    with pytest.raises(DomainError, match="step h must be positive"):
-        residual(h)
-
-
-@_EACH_RESIDUAL
-@pytest.mark.parametrize("h", [0.5, 1e300, math.inf])
-def test_difference_step_is_at_most_a_tenth_of_im_z(residual, h):
-    with pytest.raises(StepTooLarge, match=r"Im\(z\)/10"):
-        residual(h)
-
-
-def test_dh_residual_default_step_fits_under_the_cap():
-    # omega_i = 1/z solves DH; at Im z = 1e-6 the uncapped default step,
-    # 1e-4 * 0.1, would be 100 times the limit Im(z)/10
+def test_dh_residual_near_the_real_axis():
+    # omega_i = 1/z solves DH; at Im z = 1e-6 the circle has radius 3.3e-7,
+    # so adding it to z = 1 costs about eps/r = 7e-10 relative
     iso = lambda z: TriAxial((1 / z,) * 3, z)  # noqa: E731
-    assert dh_residual(iso, 1 + 1e-6j) < 1e-6
+    assert dh_residual(iso, 1 + 1e-6j) < 1e-9
 
 
 class TestChazy:
@@ -732,8 +731,7 @@ class TestChazy:
         assert abs(cd.y - 1j * math.pi * eisenstein_holo(2, z)) < 1e-8
 
     def test_chazy_residual(self):
-        y_fn = lambda z: 1j * math.pi * eisenstein_holo(2, z)
-        assert chazy_residual(y_fn, 1.5j, 1e-3) < 1e-4
+        assert chazy_residual(_Y_FN, 1.5j) < 1e-12
 
     def test_cubic_reconstruction(self):
         st = halphen_closed_form(1.3j)

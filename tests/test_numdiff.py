@@ -1,4 +1,4 @@
-"""Tests for the finite-difference stencils."""
+"""Tests for the Cauchy-integral derivatives and the real stencils."""
 
 import cmath
 import math
@@ -7,45 +7,46 @@ import numpy as np
 import pytest
 
 from halphen_lab.errors import DomainError, StepTooLarge
-from halphen_lab.numdiff import check_step, deriv1, deriv2, deriv3, second_5pt
+from halphen_lab.numdiff import N, check_step, deriv1, deriv2, deriv3, second_5pt
+
+_Z = [0.3 + 0.2j, -1 + 2j, 3 - 1j]
 
 
 class TestDerivatives:
     def test_first_derivative_exp(self):
-        x = 0.3
-        assert deriv1(math.exp, x, 1e-3) == pytest.approx(math.exp(x), abs=1e-10)
+        for z in _Z:
+            assert abs(deriv1(cmath.exp, z, 0.5) - cmath.exp(z)) <= 1e-13 * abs(cmath.exp(z))
 
     def test_second_derivative_trig(self):
-        x = 0.7
-        assert deriv2(math.sin, x, 1e-3) == pytest.approx(-math.sin(x), abs=1e-8)
+        for z in _Z:
+            assert abs(deriv2(cmath.sin, z, 0.5) + cmath.sin(z)) <= 1e-13 * abs(cmath.sin(z))
 
     def test_third_derivative_exp(self):
-        x = 0.2
-        assert deriv3(math.exp, x, 1e-2) == pytest.approx(math.exp(x), abs=1e-7)
+        for z in _Z:
+            assert abs(deriv3(cmath.exp, z, 0.5) - cmath.exp(z)) <= 1e-13 * abs(cmath.exp(z))
 
     def test_third_derivative_polynomial_exact(self):
-        # cubic: stencil must be exact up to rounding
-        f = lambda t: 2.0 * t**3 - t**2 + 4.0 * t - 1.0
-        assert deriv3(f, 1.3, 1e-2) == pytest.approx(12.0, abs=1e-8)
+        # the trapezoid sum aliases degree k + N onto degree k, so below
+        # degree N only rounding is left
+        rng = np.random.default_rng(5)
+        p = np.polynomial.Polynomial(rng.uniform(-1, 1, N) + 1j * rng.uniform(-1, 1, N))
+        z = 0.3 + 0.2j
+        want = p.deriv(3)(z)
+        for r in (0.3, 0.5):
+            assert abs(deriv3(p, z, r) - want) <= 1e-13 * abs(want)
 
-    def test_complex_direction(self):
-        # derivative along the imaginary axis of exp(z)
-        f = lambda z: np.exp(z)
-        z0 = 0.1 + 0.8j
-        d = deriv1(f, z0, 1e-4, direction=1j)
-        assert abs(d - np.exp(z0)) < 1e-10
+    def test_vector_valued_f_is_sampled_once_per_node(self):
+        calls = []
 
-    def test_complex_direction_second(self):
-        f = lambda z: np.exp(2 * z)
-        z0 = 0.3 + 0.4j
-        d = deriv2(f, z0, 1e-3, direction=cmath.exp(0.7j))
-        assert abs(d - 4 * np.exp(2 * z0)) < 1e-7
+        def f(t):
+            calls.append(t)
+            return np.array([cmath.exp(2 * t), cmath.sin(t), t**3])
 
-    def test_complex_direction_third(self):
-        f = lambda z: np.exp(2 * z)
-        z0 = 0.4j
-        d = deriv3(f, z0, 1e-2, direction=1j)
-        assert abs(d - 8 * np.exp(2 * z0)) < 1e-6
+        z = 0.4 + 0.9j
+        d = deriv2(f, z, 0.3)
+        assert len(calls) == N
+        want = [4 * cmath.exp(2 * z), -cmath.sin(z), 6 * z]
+        assert np.max(np.abs(d - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestSecondFromSamples:
