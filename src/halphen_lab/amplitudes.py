@@ -467,68 +467,44 @@ class GraphMultiplicities:
         return [e for e, mult in zip(self._EDGES, self.n) for _ in range(mult)]
 
 
-def _fundamental_cycles(edges):
-    """Spanning-forest cycle basis of a multigraph on vertices {0..3}.
-
-    Returns signed cycle vectors over the edge list, one per chord.
-    Momentum conservation factorizes over connected components, so a
-    single forest-wide basis is correct for disconnected graphs too.
-    """
-    verts = sorted({v for e in edges for v in e})
-    adj = {v: [] for v in verts}
-    for idx, (a, b) in enumerate(edges):
-        adj[a].append((b, idx, +1))  # edge oriented a -> b carries +p
-        adj[b].append((a, idx, -1))
-    parent = {}  # vertex -> (prev vertex, edge idx, sign into vertex) | None
-    for root in verts:
-        if root in parent:
-            continue
-        parent[root] = None
-        order = [root]
-        for vtx in order:  # breadth first: the loop visits what it appends
-            for nb, idx, sgn in adj[vtx]:
-                if nb not in parent:
-                    parent[nb] = (vtx, idx, sgn)
-                    order.append(nb)
-
-    def path_to_root(v):  # (edge, sign into its vertex) up to v's root
-        while parent[v] is not None:
-            v, idx, sgn = parent[v]
-            yield idx, sgn
-
-    cycles = []
-    tree = {parent[v][1] for v in parent if parent[v] is not None}
-    for idx, (a, b) in enumerate(edges):
-        if idx in tree:
-            continue
-        vec = [0] * len(edges)
-        vec[idx] = 1  # loop momentum flows a -> b on the chord
-        # close the loop through the forest: b -> root against each tree
-        # edge's orientation into its vertex, root -> a along it
-        for e, sgn in path_to_root(b):
-            vec[e] -= sgn
-        for e, sgn in path_to_root(a):
-            vec[e] += sgn
-        cycles.append(vec)
-    return verts, cycles
-
-
 @functools.cache
 def _topology(n: tuple) -> tuple:
-    """(bridge, loops, k1, k2) of the graph with multiplicities n: whether
-    some edge lies outside every cycle, the number of independent loops
-    and, for two loops, the edge counts k1 on q1 alone and k2 on q2 alone.
+    """(bridge, loops, sizes) of the graph with multiplicities n: whether
+    some edge lies on no cycle, the number of independent loops, and the
+    sorted sizes of the classes of the other edges, edges that carry the
+    same momentum.  All three are read off component counts C of the graph
+    on vertices 0..3: loops = E - V + C, an edge is a bridge when deleting
+    it raises C, and two edges share a class when deleting both does, so
+    edge e's class is e and the new bridges of the graph without e.
 
     A pure function of n, so it is cached; `graph_D` caps the weight at 6
     first, so at most 923 tuples reach it.
     """
     edges = GraphMultiplicities(n).edges()
-    _, cycles = _fundamental_cycles(edges)
-    bridge = any(all(c[i] == 0 for c in cycles) for i in range(len(edges)))
-    # each chord lies on its own cycle only, so the q1 and q2 classes are
-    # never empty; the other edges share one path and carry q1 +- q2
-    k1, k2 = (cycles[1].count(0), cycles[0].count(0)) if len(cycles) == 2 else (0, 0)
-    return bridge, len(cycles), k1, k2
+
+    def components(kept) -> int:  # union-find over the edges indexed by kept
+        root = [0, 1, 2, 3]
+        count = 4
+        for i in kept:
+            a, b = edges[i]
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a != b:
+                root[a] = b
+                count -= 1
+        return count
+
+    def bridges(kept) -> set:
+        count = components(kept)
+        return {e for e in kept if components(kept - {e}) > count}
+
+    every = frozenset(range(len(edges)))
+    cut = bridges(every)
+    classes = {frozenset({e} | bridges(every - {e}) - cut) for e in every - cut}
+    loops = len(edges) - 4 + components(every)
+    return bool(cut), loops, tuple(sorted(map(len, classes)))
 
 
 def graph_D(
@@ -538,22 +514,23 @@ def graph_D(
 ) -> MaassValue:
     """General four-puncture Kronecker-Eisenstein graph sum.
 
-    Vertex momentum conservation is solved by a spanning-forest cycle
-    basis (`_topology`); bridge edges are forced to p = 0 and, under the
-    p != 0 convention, make the whole sum vanish (flagged in `note`).
-    Banana topologies (all links between one pair) are D_n.  A two-loop
-    graph with k1 edges on q1 alone, k2 on q2 alone and k3 on q1 +- q2,
-    (k1, k2, k3) a permutation of (1, 2, 2), is C_{2,2,1}: its Eisenstein
-    reduction, accurate to about 1e-15, with spec.R checked but not used
-    and the formula in `note`.  Every other one- or two-loop graph is
-    summed at the cutoff R (`_graph_lattice`) at the image of tau in the
+    Vertex momentum conservation leaves the edges of a class, edges that
+    every cycle crosses together, one momentum (`_topology`), so the sum
+    depends only on the class sizes, not on the labelling.  A bridge is
+    forced to p = 0 and, under the p != 0 convention, makes the whole sum
+    vanish (flagged in `note`).  Banana topologies (all links between one
+    pair) are D_n.  A two-loop graph with classes of 1, 2 and 2 edges is
+    C_{2,2,1}: its Eisenstein reduction, accurate to about 1e-15, with
+    spec.R checked but not used and the formula in `note`.  Every other
+    one- or two-loop graph is summed at the cutoff R (`_graph_lattice`,
+    which leaves the smallest class uncut) at the image of tau in the
     fundamental domain, like D_n.  Graphs with three or more loops, bananas
     aside, raise WeightTooLarge.
     """
     if mult.weight > 6:
         raise WeightTooLarge("total weight capped at 6")
     R = _cutoff(spec.R)
-    bridge, loops, k1, k2 = _topology(mult.n)
+    bridge, loops, sizes = _topology(mult.n)
 
     # a bridge, an edge outside every cycle, carries zero momentum
     if bridge:
@@ -567,7 +544,7 @@ def graph_D(
             f"{loops} independent loops: only bananas and graphs with at most two are summed"
         )
 
-    if loops == 2 and sorted((k1, k2, mult.weight - k1 - k2)) == [1, 2, 2]:
+    if sizes == (1, 2, 2):
         return _eisenstein_reduction(_C221, tau.tau, f"the graph sum {mult.n}")
     return _graph_lattice(mult, fold_to_fundamental(tau), R)
 
@@ -576,36 +553,32 @@ def _graph_lattice(mult: GraphMultiplicities, t: complex, R: int) -> MaassValue:
     """The sum of a one- or two-loop graph with no bridge at tau = t, each
     loop momentum in the (2R+1)^2 box.
 
-    Edges with the same cycle vector (up to sign) carry the same momentum,
-    so a one-loop graph of weight k is sum_q W(q)^k.  A two-loop graph with
-    k1 edges on q1, k2 on q2 and k3 on q1 +- q2 is the Parseval sum of
-    three transforms (`_half_transform`), of W^k1 and W^k2 on the
-    (2R+1)^2 box of q1 and q2 and of W^k3 on the (4R+1)^2 box that holds
-    every q1 +- q2 uncut, with L the next 5-smooth length >= 4R + 1.  The
-    small box is a slice of the large box's weight grid, and W^k1 and W^k2
-    (k1 != k2) are transformed in one stacked call.  With k3 = 0 (loops
-    that are disjoint or meet at one vertex) that sum is exactly
-    sum W^k1 * sum W^k2, taken with no FFT.
+    The edges of a class carry one momentum.  A graph with one class (one
+    loop) or two (loops that are disjoint or meet at one vertex) is a
+    product of box sums sum_q W(q)^k, one per class of k edges.  A graph
+    with classes of k3 <= k1 <= k2 edges, on q1 + q2, q1 and q2, is the
+    Parseval sum of three transforms (`_half_transform`), of W^k1 and W^k2
+    on the (2R+1)^2 box of q1 and q2 and of W^k3 on the (4R+1)^2 box that
+    holds every q1 + q2 uncut, with L the next 5-smooth length >= 4R + 1.
+    The small box is a slice of the large box's weight grid, and W^k1 and
+    W^k2 (k1 != k2) are transformed in one stacked call.
     """
-    _, loops, k1, k2 = _topology(mult.n)
+    *_, sizes = _topology(mult.n)
     with np.errstate(over="ignore"):  # an overflowing sum is caught by `_finite_sum`
-        if loops == 1:
-            value = _half_sum(_weight_grid(t, R) ** mult.weight)
+        if len(sizes) < 3:
+            W = _weight_grid(t, R)
+            value = math.prod(_half_sum(W**k) for k in sizes)
         else:
-            k3 = mult.weight - k1 - k2
-            if k3 == 0:
-                W = _weight_grid(t, R)
-                value = _half_sum(W**k1) * _half_sum(W**k2)
+            k3, k1, k2 = sizes
+            L = _next_5_smooth(4 * R + 1)
+            # the largest array is the stacked transform of W^k1 and W^k2,
+            # 2 x (L//2 + 1) x L floats
+            _check_array_size(2 * (L // 2 + 1) * L, 8, f"the two-loop convolution at R = {R}")
+            W2 = _weight_grid(t, 2 * R)
+            W = W2[: R + 1, R : 3 * R + 1]  # the (2R+1)^2 box: _weight_grid(t, R) bit for bit
+            if k1 == k2:
+                A = B = _half_transform(W**k1, L)
             else:
-                L = _next_5_smooth(4 * R + 1)
-                # the largest array is the stacked transform of W^k1 and W^k2,
-                # 2 x (L//2 + 1) x L floats
-                _check_array_size(2 * (L // 2 + 1) * L, 8, f"the two-loop convolution at R = {R}")
-                W2 = _weight_grid(t, 2 * R)
-                W = W2[: R + 1, R : 3 * R + 1]  # the (2R+1)^2 box: _weight_grid(t, R) bit for bit
-                if k1 == k2:
-                    A = B = _half_transform(W**k1, L)
-                else:
-                    A, B = _half_transform(np.stack((W**k1, W**k2)), L)
-                value = _torus_sum(A * B, _half_transform(W2**k3, L))
+                A, B = _half_transform(np.stack((W**k1, W**k2)), L)
+            value = _torus_sum(A * B, _half_transform(W2**k3, L))
     return _finite_sum(value, _dn_tail(mult.weight, t, R), f"the graph sum {mult.n}", t)

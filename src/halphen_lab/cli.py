@@ -260,12 +260,12 @@ def _cmd_theta(args):
     z = parse_complex(args.z)
     v = parse_complex(args.v)
     if args.classical is not None:
-        val = theta(args.classical, v, z, args.tol)
+        val = theta(args.classical, v, z)
         label = f"theta_{args.classical}"
     else:
         ch = ThetaChar(parse_complex(args.a), parse_complex(args.b))
         fn = theta_char_vderiv if args.vderiv else theta_char
-        val = fn(ch, v, z, args.tol)
+        val = fn(ch, v, z)
         label = "theta_char_vderiv" if args.vderiv else "theta_char"
     return {
         "kind": label,
@@ -392,7 +392,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_amplitude)
 
     sp = sub.add_parser("theta", help="Jacobi theta values")
-    common(sp, tol=True)
+    common(sp)
     sp.add_argument("--classical", type=int, choices=(1, 2, 3, 4), default=None)
     sp.add_argument("--a", default="0")
     sp.add_argument("--b", default="0")

@@ -4,10 +4,10 @@ Dedekind eta, holomorphic Eisenstein series E2/E4/E6, Jacobi theta
 functions (with characteristics and v-derivatives) and Moebius maps.
 All evaluators are plain truncated q-series in binary64: they sum until
 their terms drop below ``TOL`` (relative to ``max(1, |partial|)`` for the
-theta functions, which take their own ``tol``), raise
-TruncationNotReached past ``MAX_TERMS`` terms, and refuse to work below
-Im(tau) = 0.05, where a q-series is the wrong tool (fold into the
-fundamental domain first, as :func:`maass.fold_to_fundamental` does).
+theta functions), raise TruncationNotReached past ``MAX_TERMS`` terms, and
+refuse to work below Im(tau) = 0.05, where a q-series is the wrong tool
+(fold into the fundamental domain first, as
+:func:`maass.fold_to_fundamental` does).
 
 :func:`thetas_e2` is the one kernel for E2 and the theta constants at
 v = 0, one loop over powers of the nome; E4 and E6 are polynomials in the
@@ -152,17 +152,17 @@ _CLASSICAL_CHARS = {
 }
 
 
-def theta(j: int, v, tau, tol: float = TOL) -> complex:
+def theta(j: int, v, tau) -> complex:
     """Jacobi theta function theta_j(v|tau), j in {1, 2, 3, 4}."""
     if j not in _CLASSICAL_CHARS:
         raise DomainError(f"j must be one of 1..4, got {j}")
-    return theta_char(_CLASSICAL_CHARS[j], v, tau, tol)
+    return theta_char(_CLASSICAL_CHARS[j], v, tau)
 
 
-def _theta_terms(ch: ThetaChar, v, tau, tol: float, weight):
+def _theta_terms(ch: ThetaChar, v, tau, weight):
     """Sum weight(m + a/2) * exp(i pi tau (m+a/2)^2 + 2 i pi (v+b/2)(m+a/2))
     symmetrically around the peak of the Gaussian envelope, stopping once
-    three flanking pairs in a row fall below tol * max(1, |partial|).
+    three flanking pairs in a row fall below TOL * max(1, |partial|).
 
     Re a is first reduced modulo 2 into [-1, 1] (theta[a + 2; b] =
     theta[a; b]: the shift relabels m) and Re v modulo 1 into [-1/2, 1/2]
@@ -170,8 +170,6 @@ def _theta_terms(ch: ThetaChar, v, tau, tol: float, weight):
     so for the v-derivative), both exactly, so a huge characteristic or v
     costs no digits and no terms; a in [-1, 1] and v with |Re v| <= 1/2
     are left as they are."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol}")
     pt = _as_point(tau)
     pt.require_qseries_domain()
     z = pt.tau
@@ -201,7 +199,7 @@ def _theta_terms(ch: ThetaChar, v, tau, tol: float, weight):
             t_hi = term(center + step)
             t_lo = term(center - step)
             total += t_hi + t_lo
-            if max(abs(t_hi), abs(t_lo)) < tol * max(1.0, abs(total)):
+            if max(abs(t_hi), abs(t_lo)) < TOL * max(1.0, abs(total)):
                 quiet += 1
                 if quiet >= 3:
                     break
@@ -221,14 +219,14 @@ def _theta_terms(ch: ThetaChar, v, tau, tol: float, weight):
     return total
 
 
-def theta_char(ch: ThetaChar, v, tau, tol: float = TOL) -> complex:
+def theta_char(ch: ThetaChar, v, tau) -> complex:
     """theta[a;b](v|tau) with arbitrary complex characteristics."""
-    return _theta_terms(ch, v, tau, tol, lambda n: 1.0)
+    return _theta_terms(ch, v, tau, lambda n: 1.0)
 
 
-def theta_char_vderiv(ch: ThetaChar, v, tau, tol: float = TOL) -> complex:
+def theta_char_vderiv(ch: ThetaChar, v, tau) -> complex:
     """d/dv of theta[a;b](v|tau), term-by-term."""
-    return _theta_terms(ch, v, tau, tol, lambda n: 2j * cmath.pi * n)
+    return _theta_terms(ch, v, tau, lambda n: 2j * cmath.pi * n)
 
 
 def thetas_e2(p, p4):

@@ -23,10 +23,12 @@ _NODES = [cmath.exp(2j * cmath.pi * j / N) for j in range(N)]
 
 def check_step(h, limit=math.inf, bound="limit"):
     """Validate a finite-difference step: DomainError unless h > 0 (so also
-    for NaN), StepTooLarge if h exceeds `limit`, which the message calls
-    `bound`."""
+    for NaN) and 12 h^2, the denominator of `second_5pt`, is not 0,
+    StepTooLarge if h exceeds `limit`, which the message calls `bound`."""
     if not h > 0:
         raise DomainError(f"step h must be positive, got h = {h}")
+    if not 12 * h * h > 0:
+        raise DomainError(f"step h = {h} is too small: 12 h^2 underflows to 0")
     if h > limit:
         raise StepTooLarge(f"h = {h} too large: {bound} = {limit}")
 

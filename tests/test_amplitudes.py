@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,6 @@ from halphen_lab.amplitudes import (
     GraphMultiplicities,
     Mandelstam,
     _dn_lattice,
-    _fundamental_cycles,
     _graph_lattice,
     _half_transform,
     _topology,
@@ -318,14 +318,11 @@ class TestParsevalKernel:
         assert np.array_equal(box, _weight_grid(tau, R))
 
     def test_cached_topology_is_fresh_classification(self):
+        # the sizes come sorted: `_graph_lattice` leaves sizes[0], the
+        # smallest class, uncut
         for mult in itertools.product(range(7), repeat=6):
-            if not 1 <= sum(mult) <= 6:
-                continue
-            edges = GraphMultiplicities(mult).edges()
-            _, cycles = _fundamental_cycles(edges)
-            bridge = any(all(c[i] == 0 for c in cycles) for i in range(len(edges)))
-            k = (cycles[1].count(0), cycles[0].count(0)) if len(cycles) == 2 else (0, 0)
-            assert _topology(mult) == (bridge, len(cycles), *k), mult
+            if 1 <= sum(mult) <= 6:
+                assert _topology(mult) == _reference_topology(mult), mult
 
 
 class TestDn:
@@ -440,11 +437,69 @@ def _enumerated_dn(n, tau, R):
     )
 
 
-def _enumerated_graph_sum(mult, tau, R):
-    """Reference: sum over up to two loop momenta in the (2R+1)^2 box by
-    direct enumeration, every edge momentum uncut (O(R^4))."""
+def _fundamental_cycles(edges):
+    """Spanning-forest cycle basis of a multigraph on vertices {0..3}.
+
+    Returns signed cycle vectors over the edge list, one per chord.
+    Momentum conservation factorizes over connected components, so a
+    single forest-wide basis is correct for disconnected graphs too.
+    """
+    verts = sorted({v for e in edges for v in e})
+    adj = {v: [] for v in verts}
+    for idx, (a, b) in enumerate(edges):
+        adj[a].append((b, idx, +1))  # edge oriented a -> b carries +p
+        adj[b].append((a, idx, -1))
+    parent = {}  # vertex -> (prev vertex, edge idx, sign into vertex) | None
+    for root in verts:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for vtx in order:  # breadth first: the loop visits what it appends
+            for nb, idx, sgn in adj[vtx]:
+                if nb not in parent:
+                    parent[nb] = (vtx, idx, sgn)
+                    order.append(nb)
+
+    def path_to_root(v):  # (edge, sign into its vertex) up to v's root
+        while parent[v] is not None:
+            v, idx, sgn = parent[v]
+            yield idx, sgn
+
+    cycles = []
+    tree = {parent[v][1] for v in parent if parent[v] is not None}
+    for idx, (a, b) in enumerate(edges):
+        if idx in tree:
+            continue
+        vec = [0] * len(edges)
+        vec[idx] = 1  # loop momentum flows a -> b on the chord
+        # close the loop through the forest: b -> root against each tree
+        # edge's orientation into its vertex, root -> a along it
+        for e, sgn in path_to_root(b):
+            vec[e] -= sgn
+        for e, sgn in path_to_root(a):
+            vec[e] += sgn
+        cycles.append(vec)
+    return verts, cycles
+
+
+def _reference_topology(mult):
+    """(bridge, loops, sorted class sizes) from the cycle basis: an edge on
+    no cycle is a bridge, and edges whose cycle vectors agree up to sign
+    carry one momentum, so they share a class."""
     edges = GraphMultiplicities(mult).edges()
     _, cycles = _fundamental_cycles(edges)
+    columns = [tuple(c[i] for c in cycles) for i in range(len(edges))]
+    classes = Counter(max(col, tuple(-x for x in col)) for col in columns if any(col))
+    return not all(map(any, columns)), len(cycles), tuple(sorted(classes.values()))
+
+
+def _enumerated_graph_sum(mult, tau, R):
+    """Reference: the sum over q1 and q2 in the (2R+1)^2 box by direct
+    enumeration (O(R^4)), with the classes of `_topology`.  A class of k
+    edges on one momentum contributes W^k; of three classes, the smallest
+    is on q1 + q2, uncut."""
+    _, _, sizes = _topology(mult)
     rng = np.arange(-R, R + 1)
     M, N = np.meshgrid(rng, rng, indexing="ij")
     P = (M + N * tau).ravel()
@@ -455,18 +510,11 @@ def _enumerated_graph_sum(mult, tau, R):
         w[mask] = tau.imag / (4 * math.pi * np.abs(p[mask]) ** 2)
         return w
 
-    if len(cycles) == 1:
-        total = np.ones(P.shape)
-        for c in cycles[0]:
-            total = total * weights(c * P)
-        return float(np.sum(total))
-    value = 0.0
-    for q1 in P:
-        prod = np.ones(P.shape)
-        for c1, c2 in zip(*cycles):
-            prod = prod * weights(c1 * q1 + c2 * P)
-        value += float(np.sum(prod))
-    return value
+    W = weights(P)
+    if len(sizes) < 3:
+        return math.prod(float(np.sum(W**k)) for k in sizes)
+    k3, k1, k2 = sizes
+    return sum(float(w1**k1 * np.sum(W**k2 * weights(q1 + P) ** k3)) for q1, w1 in zip(P, W))
 
 
 class TestGraphD:
@@ -501,15 +549,14 @@ class TestGraphD:
                 for mult in itertools.product(range(w + 1), repeat=6):
                     if sum(mult) != w:
                         continue
-                    _, cycles = _fundamental_cycles(GraphMultiplicities(mult).edges())
-                    bridged = any(all(c[i] == 0 for c in cycles) for i in range(w))
+                    bridged, loops, _ = _reference_topology(mult)
                     banana = sum(1 for v in mult if v) == 1
                     if bridged:
                         g = graph_D(GraphMultiplicities(mult), tau, spec)
                         assert g.value == 0.0 and g.note == "zero-mode-excluded"
                     elif banana:
                         continue  # delegated to D_n, see test_banana_matches_dn
-                    elif len(cycles) > 2:
+                    elif loops > 2:
                         with pytest.raises(WeightTooLarge):
                             graph_D(GraphMultiplicities(mult), tau, spec)
                     else:
@@ -536,6 +583,26 @@ class TestGraphD:
         g = graph_D(GraphMultiplicities((1, 1, 0, 1, 0, 0)), tau, LatticeSumSpec(R=40))
         ref = eisenstein_fourier(3, tau.tau).value / (4 * math.pi) ** 3
         assert g.value == pytest.approx(ref, rel=1e-6)
+
+    def test_every_labelling_sums_the_same_bits(self):
+        # C_{a,b,c} is symmetric in a, b and c: graphs whose classes have
+        # the same sizes are one graph labelled differently, so they sum
+        # the same box
+        by_sizes = {}
+        for mult in itertools.product(range(7), repeat=6):
+            if 1 <= sum(mult) <= 6:
+                bridge, loops, sizes = _reference_topology(mult)
+                if not bridge and loops == 2:
+                    by_sizes.setdefault(sizes, []).append(GraphMultiplicities(mult))
+        assert sum(map(len, by_sizes.values())) == 63
+        for tau in (ModularPoint(2j), ModularPoint(0.3 + 1.1j)):
+            for R in (20, 40):
+                for graphs in by_sizes.values():
+                    first = graph_D(graphs[0], tau, LatticeSumSpec(R=R))
+                    for graph in graphs[1:]:
+                        got = graph_D(graph, tau, LatticeSumSpec(R=R))
+                        assert (got.value, got.est_error) == (first.value, first.est_error), (
+                            graph.n, graphs[0].n, tau, R)
 
     def test_bridge_vanishes(self):
         tau = ModularPoint(1.1j)
@@ -680,8 +747,8 @@ class TestEisensteinReductions:
         for mult in itertools.product(range(6), repeat=6):
             if sum(mult) != 5:
                 continue
-            bridge, loops, k1, k2 = _topology(mult)
-            if bridge or loops != 2 or sorted((k1, k2, 5 - k1 - k2)) != [1, 2, 2]:
+            bridge, loops, sizes = _topology(mult)
+            if bridge or loops != 2 or sizes != (1, 2, 2):
                 continue
             found += 1
             graph = GraphMultiplicities(mult)

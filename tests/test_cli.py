@@ -299,18 +299,16 @@ class TestTheta:
         assert payload["re"] == pytest.approx(ref, abs=1e-12)
         assert payload["im"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_tol_reaches_the_series(self, capsys):
-        # at Im z = 0.05 the Gaussian decays slowly, so a loose tolerance
-        # stops the sum early and moves the value; theta3(0|i/20) is
-        # sqrt(20) theta3(0|20i) = sqrt(20) to binary64
-        values = []
-        for extra in ((), ("--tol", "1e-2")):
-            code, out = run(capsys, "theta", "--classical", "3", "--z", "0.05i", *extra)
-            assert code == 0
-            values.append(json.loads(out)["re"])
-        assert values[0] == pytest.approx(20**0.5, abs=1e-12)
-        assert abs(values[1] - values[0]) > 1e-6
-
+    def test_series_stop_is_not_settable(self, capsys):
+        # every theta series stops at modforms.TOL: theta3(0|i/20) is
+        # sqrt(20) theta3(0|20i) = sqrt(20) to binary64, and --tol is a
+        # usage error
+        code, out = run(capsys, "theta", "--classical", "3", "--z", "0.05i")
+        assert code == 0
+        assert json.loads(out)["re"] == pytest.approx(20**0.5, abs=1e-12)
+        code, out = run(capsys, "theta", "--classical", "3", "--z", "0.05i", "--tol", "1e-2")
+        assert code == 1
+        assert out == ""
 
     def test_huge_real_v(self, capsys):
         # theta_1(v + 1) = -theta_1(v), and 1e300 is even: theta_1(0 | i) = 0
@@ -422,8 +420,8 @@ class TestBadNumbers:
          "DomainError: D_3 at tau = 1e+200j overflows a float"),
         (["graphd", "--mult", "1,1,1,1,1,0", "--tau", "1e200i"], 2,
          "DomainError: the graph sum (1, 1, 1, 1, 1, 0) at tau = 1e+200j overflows a float"),
-        (["theta", "--classical", "3", "--z", "0.05i", "--tol", "inf"], 2,
-         "DomainError: tol must be finite and positive"),
+        (["conformal", "--cp", "cp2", "--rho", "1", "--h", "1e-200"], 2,
+         "DomainError: step h = 1e-200 is too small"),
         (["theta", "--classical", "3", "--z", "0.05i", "--v", "nan"], 2,
          "DomainError: theta needs a finite v"),
         (["theta", "--classical", "3", "--v", "20i", "--z", "1i"], 2,

@@ -463,3 +463,8 @@ class TestEigencheck:
     def test_step_must_be_positive(self, h):
         with pytest.raises(DomainError, match="step h must be positive"):
             laplacian_eigencheck(2.0, 1j, h)
+
+    def test_step_whose_square_underflows(self):
+        # 12 h^2 underflowed to 0 and second_5pt raised ZeroDivisionError
+        with pytest.raises(DomainError, match="h = 1e-200 is too small"):
+            laplacian_eigencheck(2, 1.1j, 1e-200)

@@ -63,6 +63,12 @@ class TestCheckStep:
         with pytest.raises(DomainError, match="step h must be positive"):
             check_step(h, 1.0)
 
+    @pytest.mark.parametrize("h", [1e-200, 5e-324])
+    def test_step_whose_square_underflows_is_domain_error(self, h):
+        # second_5pt divided by 12 h^2 = 0: a ZeroDivisionError traceback
+        with pytest.raises(DomainError, match=f"step h = {h} is too small"):
+            check_step(h)
+
     def test_limit(self):
         check_step(1e-3)
         check_step(0.1, 0.1, "Im(z)/10")  # the limit itself is allowed
