@@ -12,7 +12,10 @@ Eisenstein reductions
 
 (the last from D'Hoker--Green--Vanhove, arXiv:1502.06698).  D_3 and
 C_{2,2,1} are evaluated by their reductions; every other sum is summed on
-the momentum lattice.
+the momentum lattice.  numpy is imported only by the functions that build
+the momentum grids and sum over them (the weight grid, its transforms and
+the box sums), so the genus-zero amplitudes, D_3 and C_{2,2,1} run without
+it.
 
 Conventions: lattice momenta p = m + n tau exclude the origin; every
 propagator carries tau_2 / (4 pi |p|^2).  The 1/(4 pi) normalization is
@@ -28,8 +31,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DivergentParameter,
@@ -149,11 +150,9 @@ def sigma_recursion_check(k: Mandelstam, n: int) -> float:
 
 MAX_TERMS = 10**5  # the most exponent terms tree_amplitude_series takes
 
-
-@functools.cache
-def _zeta_coef(n: int) -> float:
-    """2 zeta(2n+1) / (2n+1), the exponent coefficient of sigma_{2n+1}."""
-    return 2 * riemann_zeta(2 * n + 1) / (2 * n + 1)
+# 2 zeta(2n+1) / (2n+1), the exponent coefficient of sigma_{2n+1}, for
+# 2n+1 = 3 .. 53; from 55 on riemann_zeta is exactly 1.0
+_ZETA_COEFS = tuple(2 * riemann_zeta(2 * n + 1) / (2 * n + 1) for n in range(1, 27))
 
 
 def tree_amplitude_series(k: Mandelstam, N: int, tol: float = 1e-12) -> float:
@@ -176,14 +175,15 @@ def tree_amplitude_series(k: Mandelstam, N: int, tol: float = 1e-12) -> float:
     pref = xs[0] * xs[1] * xs[2]
     if pref == 0:
         raise KinematicsDegenerate("s t u = 0: pole prefactor is singular")
+    x, y, z = xs
     expo = last = 0.0
     for n in range(1, min(N, MAX_TERMS) + 1):
-        powers = [x ** (2 * n + 1) for x in xs]
-        if not any(powers):
+        e = 2 * n + 1
+        a, b, c = x**e, y**e, z**e
+        if not (a or b or c):
             last = 0.0
             break
-        # riemann_zeta is exactly 1.0 from 55 on: no cache entry per n there
-        last = (_zeta_coef(n) if 2 * n + 1 < 55 else 2 / (2 * n + 1)) * sum(powers)
+        last = (_ZETA_COEFS[n - 1] if n <= len(_ZETA_COEFS) else 2 / e) * (a + b + c)
         expo -= last
     else:
         if N > MAX_TERMS:
@@ -245,6 +245,8 @@ def _weight_grid(tau: complex, R: int):
     np.abs would take a square root only to square it again.  The
     origin's |p|^2 is inf, so W(0) = 0 exactly.
     """
+    import numpy as np
+
     m = np.arange(R + 1.0)[:, None]
     n = np.arange(-R, R + 1.0)
     p2 = (m + n * tau.real) ** 2 + (n * tau.imag) ** 2
@@ -291,6 +293,8 @@ def _half_transform(A, L: int):
     momentum conserved and every p_i uncut in its own box.  `_torus_sum`
     takes the sum over k.
     """
+    import numpy as np
+
     R = A.shape[-2] - 1
     F = np.fft.rfft(A, L, axis=-1)
     F *= np.exp(2j * math.pi * R / L * np.arange(L // 2 + 1))
@@ -302,6 +306,8 @@ def _torus_sum(X, Y) -> float:
     given by the rows k_n = 0 .. L/2 of `_half_transform`: one pass over
     the rows, then rows 0 and, for even L, L/2 count once (they are their
     own mirror images) and every other row counts twice."""
+    import numpy as np
+
     L = X.shape[-1]
     rows = np.einsum("ij,ij->i", X, Y)
     mid = (L + 1) // 2
@@ -320,6 +326,8 @@ def genus_one_propagator_momentum(
     where z = u + v tau.  The full propagator is Phat + C with
     C = log|sqrt(2 pi) eta(tau)|.
     """
+    import numpy as np
+
     R = _cutoff(R)
     z = complex(z)
     t = tau.tau
@@ -424,6 +432,8 @@ def _dn_lattice(n: int, t: complex, R: int) -> MaassValue:
     for L > nR; L is the next 5-smooth length (2^a 3^b 5^c) at or above
     nR + 1, where numpy's FFT is fast.
     """
+    import numpy as np
+
     with np.errstate(over="ignore"):  # an overflowing sum is caught by `_finite_sum`
         if n == 2:
             value = _half_sum(_weight_grid(t, R) ** 2)
@@ -563,11 +573,14 @@ def _graph_lattice(mult: GraphMultiplicities, t: complex, R: int) -> MaassValue:
     The small box is a slice of the large box's weight grid, and W^k1 and
     W^k2 (k1 != k2) are transformed in one stacked call.
     """
+    import numpy as np
+
     *_, sizes = _topology(mult.n)
     with np.errstate(over="ignore"):  # an overflowing sum is caught by `_finite_sum`
         if len(sizes) < 3:
             W = _weight_grid(t, R)
-            value = math.prod(_half_sum(W**k) for k in sizes)
+            box = {k: _half_sum(W**k) for k in set(sizes)}  # one sum per class size
+            value = math.prod(box[k] for k in sizes)
         else:
             k3, k1, k2 = sizes
             L = _next_5_smooth(4 * R + 1)

@@ -8,10 +8,14 @@ Two independent evaluation routes:
   2 xi(2s) E_s = 2 xi(2s) y^s + 2 xi(2s-1) y^(1-s)
                + 4 sqrt(y) sum_{n!=0} sigma_{2s-1}(|n|)/|n|^(s-1/2)
                  K_{s-1/2}(2 pi |n| y) e^(2 pi i n x),
-  which converges for every s != 1.
+  which converges for every s != 1.  Its Bessel factors come in closed
+  form where s is an integer and the order s - 1/2 is n + 1/2 with n up
+  to CLOSED_FORM_MAX_N, and from one trapezoid table elsewhere.
 
 The two routes cross-check each other; neither is derived from the
-other anywhere in this package.
+other anywhere in this package.  numpy is imported only by the functions
+that build arrays: the lattice route and the Bessel table.  The integer-s
+Fourier route runs without it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import CutoffTooLarge, DivergentParameter, DomainError, OutOfRange, PoleAtS
 from .modforms import _as_point
@@ -94,6 +96,8 @@ def lattice_points(tau, R: float):
     even function of p has the same value on both halves, and twice a sum
     over the half is the sum over the whole set with the same rounding,
     since doubling is exact."""
+    import numpy as np
+
     tau = _as_point(tau).tau
     x, y = tau.real, tau.imag
     # floor(R/y) + 1 rows of at most 2R + 5 points each
@@ -127,6 +131,8 @@ def eisenstein_lattice(
     runs over lattice_points' half lattice and is doubled.  numpy sums
     the n positive terms pairwise, which rounds by at most
     (ceil(log2 n) + 18) 2^-53 of the sum (`_pairwise_rounding`)."""
+    import numpy as np
+
     _check_s(s)
     if not s > 1:
         raise DivergentParameter(f"lattice sum needs s > 1, got s = {s}")
@@ -277,6 +283,8 @@ def _besselk_modes(nu: float, x1: float, count: int):
     - 1) - |nu| t = 40.  Mode 1's integrand is formed as (e^(nu t - e) +
     e^(-nu t - e))/2 with e = x1 (cosh t - 1), so no factor overflows where
     K_nu(x1) does not."""
+    import numpy as np
+
     nu = abs(nu)
     if count == 0:
         return np.empty(0)
@@ -292,6 +300,35 @@ def _besselk_modes(nu: float, x1: float, count: int):
     powers[1:] = np.exp(-e)
     powers.cumprod(axis=0, out=powers)
     return np.exp(-x1 * np.arange(1, count + 1)) * h * (0.5 + powers @ f)
+
+
+# K_(n+1/2) is taken in closed form up to this n.  Through n = 29 it is
+# faster than the table (1.3x at 30 modes and n = 29, 8x at 12 modes and
+# n = 0) and closer to mpmath (2-12 units of 2^-53, the table up to 354); at
+# n = 39 and 30 modes the two cost the same
+CLOSED_FORM_MAX_N = 29
+
+
+def _besselk_half_modes(coefs: tuple, x1: float, count: int) -> list:
+    """K_(n+1/2)(m x1) for m = 1 .. count and x1 > 0 in closed form (DLMF
+    10.49.12),
+
+        K_(n+1/2)(x) = sqrt(pi/(2x)) e^(-x) sum_(k<=n) a_k (2x)^(-k),
+        a_k = (n+k)! / (k! (n-k)!),
+
+    with coefs = (a_n, .., a_0), for Horner's rule in t = 1/(2x).  Every
+    term is positive, so the sum rounds by at most 3n + 1 units of 2^-53:
+    2n in Horner's products and sums, one in the rounded coefficients, and
+    n from the rounding of t, which the sum amplifies by t P'(t)/P(t) <= n."""
+    out = []
+    for m in range(1, count + 1):
+        x = m * x1
+        t = 0.5 / x
+        p = 0.0
+        for a in coefs:
+            p = p * t + a
+        out.append(math.sqrt(math.pi * t) * math.exp(-x) * p)
+    return out
 
 
 MODE_BAR = 2.0**-60  # modes whose bound is below this share of the zero modes are not summed
@@ -339,24 +376,57 @@ def _mode_count(s: float, x1: float, xi2s: float, bar: float):
         n += 1
 
 
+def _log_xi(w: float) -> tuple:
+    """(log xi(w), c) for w > 1, where xi(w) = zeta(w) Gamma(w/2) pi^(-w/2)
+    is positive, through math.lgamma, and c a bound on the absolute rounding
+    of the log in units of 2^-53: 8 per unit of lgamma(w/2) and (w/2) log(pi),
+    a few lgamma ulps each, and zeta's condition.  exp of the log then
+    rounds by c + 1 units, relative."""
+    lg, lp = math.lgamma(w / 2), w / 2 * math.log(math.pi)
+    return lg - lp + math.log(riemann_zeta(w)), 8 * (lg + lp) + 4 + _zeta_condition(w)
+
+
 @functools.lru_cache(maxsize=256)
 def _fourier_factors(s: float) -> tuple:
     """The factors of `eisenstein_fourier` that depend on s alone:
     (2 zeta(2s), xi(2s), xi(2s - 1)/xi(2s), (F_n for n = 1 .. MAX_MODES),
-    conditions), the conditions those of the first, of the third and of
-    1/xi(2s) (`_zeta_condition`), and F_n = sigma_{-2 beta}(n) n^beta,
-    beta = |s - 1/2|, which is
+    conditions, coefs), the conditions those of the first, of the third and
+    of each mode n >= 1 (`_zeta_condition`), and F_n = sigma_{-2 beta}(n)
+    n^beta, beta = |s - 1/2|, which is
     sigma_{1-2s}(n) n^(s-1/2) = sigma_{2s-1}(n) / n^(s-1/2).  Neither of its
     two factors is larger than F_n, so they stay in the float range
     wherever F_n does; an F_n past it is stored as inf, and E_s overflows
     (DomainError) only if its mode n is summed.
 
+    Where beta = n + 1/2 with an integer n <= CLOSED_FORM_MAX_N (integer s
+    from -CLOSED_FORM_MAX_N to CLOSED_FORM_MAX_N + 1), coefs are the
+    closed-form coefficients of `_besselk_half_modes` and each mode's
+    condition has their 3n + 1 added; elsewhere coefs is None.
+
+    Above s = 171.6, Gamma(s) overflows in completed_zeta(2s) although
+    xi(2s) is a float up to s = 219; there xi(2s) and the ratio are taken
+    through logs (`_log_xi`).
+
     Cached on s, never on tau.
     """
     norm = 2 * riemann_zeta(2 * s)
-    # xi(2s) has its pole at s = 0, where every mode divided by it vanishes
-    xi2s = math.inf if s == 0 else completed_zeta(2 * s)
-    ratio = completed_zeta(2 * s - 1) / xi2s
+    try:
+        # xi(2s) has its pole at s = 0, where every mode divided by it vanishes
+        xi2s = math.inf if s == 0 else completed_zeta(2 * s)
+        ratio = completed_zeta(2 * s - 1) / xi2s
+    except DomainError:
+        if s < 1:  # Gamma(1 - 2s) overflows in zeta's reflection: not taken in logs
+            raise
+        (log_xi2s, xi_cond), (log_xi, ratio_cond) = _log_xi(2 * s), _log_xi(2 * s - 1)
+        try:
+            xi2s = math.exp(log_xi2s)
+        except OverflowError:
+            raise DomainError(f"xi(2s) overflows a float at s = {s}")
+        ratio = math.exp(log_xi - log_xi2s)
+        ratio_cond += xi_cond
+    else:
+        xi_cond = 0.0 if s == 0 else _xi_condition(2 * s)
+        ratio_cond = _xi_condition(2 * s - 1) + xi_cond
     beta = abs(s - 0.5)
     factors = []
     for n in range(1, MAX_MODES + 1):
@@ -364,9 +434,15 @@ def _fourier_factors(s: float) -> tuple:
             factors.append(divisor_sigma(-2 * beta, n) * n**beta)
         except OverflowError:
             factors.append(math.inf)
-    xi_cond = 0.0 if s == 0 else _xi_condition(2 * s)
-    conditions = (_zeta_condition(2 * s), _xi_condition(2 * s - 1) + xi_cond, xi_cond)
-    return norm, xi2s, ratio, tuple(factors), conditions
+    coefs, mode_cond = None, xi_cond
+    order = beta - 0.5  # K_(order+1/2)
+    if order.is_integer() and order <= CLOSED_FORM_MAX_N:
+        n = int(order)
+        coefs = tuple(float(math.factorial(n + k) // (math.factorial(k) * math.factorial(n - k)))
+                      for k in range(n, -1, -1))
+        mode_cond += 3 * n + 1
+    conditions = (_zeta_condition(2 * s), ratio_cond, mode_cond)
+    return norm, xi2s, ratio, tuple(factors), conditions, coefs
 
 
 def eisenstein_fourier(s: float, tau) -> MaassValue:
@@ -384,12 +460,16 @@ def eisenstein_fourier(s: float, tau) -> MaassValue:
 
     The modes 1 .. N are summed, N the first n whose tail bound
     (`_tail_bound`) from n + 1 on is below MODE_BAR of the zero modes, and
-    at most MAX_MODES; their Bessel factors come from one table
-    (`_besselk_modes`).  The bar is the tail bound from mode N + 1 on plus
-    a rounding floor: 2^-53 per possible mode, MAX_MODES + 2, of the sum of
-    |mode|, 2^-53 2 (|s - 1/2| + 2 pi N y) of the sum of |mode n| over
-    n >= 1, and the rounding of the s-only factors where zeta or sin
-    cancels (near s = 1/2, 1 and the trivial zeros of zeta(2s)).
+    at most MAX_MODES.  Their Bessel factors K_(s-1/2) come in closed form
+    (`_besselk_half_modes`) at integer s from -CLOSED_FORM_MAX_N to
+    CLOSED_FORM_MAX_N + 1, s = 2 .. 30 among them, and from one table
+    (`_besselk_modes`) at every other s.  The bar is the tail bound from
+    mode N + 1 on plus a rounding floor: 2^-53 per possible mode,
+    MAX_MODES + 2, of the sum of |mode|, 2^-53 2 (|s - 1/2| + 2 pi N y) of
+    the sum of |mode n| over n >= 1, and 2^-53 (3n + 1) more of it for a
+    closed form of order n + 1/2, and the rounding of the s-only factors
+    where zeta or sin cancels (near s = 1/2, 1 and the trivial zeros of
+    zeta(2s)) or where xi(2s) is taken through logs (s > 171.6).
     """
     _check_s(s)
     if s == 1:
@@ -399,15 +479,18 @@ def eisenstein_fourier(s: float, tau) -> MaassValue:
                       "xi(2s - 1) cancel, and that limit is not taken")
     tau = fold_to_fundamental(tau)
     x, y = tau.real, tau.imag
-    norm, xi2s, ratio, factors, (norm_cond, ratio_cond, xi_cond) = _fourier_factors(s)
+    norm, xi2s, ratio, factors, (norm_cond, ratio_cond, mode_cond), coefs = _fourier_factors(s)
     try:  # the zero modes
         modes = [y**s, ratio * y ** (1 - s)]
     except OverflowError:
         modes = [math.inf]
     x1 = 2 * math.pi * y
     count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)))
-    besselk = _besselk_modes(s - 0.5, x1, count)
-    for n, (bessel, factor) in enumerate(zip(besselk.tolist(), factors), 1):
+    if coefs is None:
+        besselk = _besselk_modes(s - 0.5, x1, count).tolist()
+    else:
+        besselk = _besselk_half_modes(coefs, x1, count)
+    for n, (bessel, factor) in enumerate(zip(besselk, factors), 1):
         if bessel == 0.0:  # underflow of the exponentially small tail
             break
         coef = 4 * math.sqrt(y) * factor * bessel / (2 * xi2s)
@@ -420,9 +503,9 @@ def eisenstein_fourier(s: float, tau) -> MaassValue:
         raise DomainError(f"E_s overflows a float at s = {s}, tau = {tau}")
     # 2^-53 per possible mode of the sum of |mode|, twice |nu| + x per mode
     # n >= 1 (K_nu(x) amplifies the rounding of x = 2 pi n y by up to
-    # |nu| + x) and the conditions of the s-only factors; 2 zeta(2s) is
-    # negative at many s < 1/2 (s = 1/4 among them)
-    per_mode = 2 * (abs(s - 0.5) + count * x1) + xi_cond
+    # |nu| + x), the conditions of the s-only factors and the closed form's
+    # rounding; 2 zeta(2s) is negative at many s < 1/2 (s = 1/4 among them)
+    per_mode = 2 * (abs(s - 0.5) + count * x1) + mode_cond
     rounding = 2.0**-53 * ((MAX_MODES + 2) * sum(map(abs, modes)) + ratio_cond * abs(modes[1])
                            + per_mode * sum(map(abs, modes[2:])))
     est_error = abs(norm) * (tail + rounding) + 2.0**-53 * norm_cond * abs(value)

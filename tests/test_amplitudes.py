@@ -12,6 +12,7 @@ from scipy.special import zeta
 from halphen_lab.amplitudes import (
     MAX_TERMS,
     ZETA_ERROR,
+    _ZETA_COEFS,
     GraphMultiplicities,
     Mandelstam,
     _dn_lattice,
@@ -20,7 +21,6 @@ from halphen_lab.amplitudes import (
     _topology,
     _torus_sum,
     _weight_grid,
-    _zeta_coef,
     dimension_dn,
     genus_one_propagator,
     genus_one_propagator_momentum,
@@ -124,10 +124,11 @@ class TestTreeAmplitude:
     def test_series_stops_once_the_terms_underflow(self):
         # 0.3^(2n+1) underflows near n = 310: every later term is 0, so N
         # past it changes neither the value nor the work, and the odd zetas
-        # are cached only below 2n+1 = 55, where riemann_zeta reaches 1.0
+        # are stored only below 2n+1 = 55, where riemann_zeta reaches 1.0
         k = Mandelstam(0.1, 0.2)
         assert tree_amplitude_series(k, 10**8) == tree_amplitude_series(k, 400)
-        assert _zeta_coef.cache_info().currsize <= 26
+        assert _ZETA_COEFS == tuple(2 * riemann_zeta(2 * n + 1) / (2 * n + 1) for n in range(1, 27))
+        assert riemann_zeta(53) > 1.0 == riemann_zeta(55)
 
     def test_series_term_budget(self):
         # |alpha' s| near 1: the terms never underflow

@@ -607,10 +607,24 @@ def test_dump_json_loads_no_numpy():
     ids=lambda argv: argv[0],
 )
 def test_subcommand_imports_no_scipy(argv):
-    # theta needs only cmath; the rest, ODE runs included, need only numpy
-    loaded = [] if argv[0] == "theta" else ["numpy"]
+    # theta needs only cmath, and D_3, C_2,2,1 and the tree amplitude only
+    # math; the rest, ODE runs and lattice sums, need only numpy
+    loaded = [] if argv[0] in ("theta", "dsum", "graphd", "amplitude") else ["numpy"]
     out = _run_isolated(_LOADED.format(argv=argv))
     assert out.splitlines()[-1] == str(loaded)
+
+
+@pytest.mark.parametrize("module", ["maass", "amplitudes"])
+def test_lattice_modules_import_no_numpy(module):
+    out = _run_isolated(f"import sys, halphen_lab.{module}; print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_integer_s_fourier_loads_no_numpy():
+    # K_(s-1/2) comes in closed form at integer s; the table at s = 2.5 needs numpy
+    for s, loaded in (("4", "[]"), ("2.5", "['numpy']")):
+        argv = ["eisenstein", "--s", s, "--tau", "0.1+1.2i", "--method", "fourier"]
+        assert _run_isolated(_LOADED.format(argv=argv)).splitlines()[-1] == loaded
 
 
 def test_halphen_import_skips_scipy():

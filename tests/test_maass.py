@@ -1,5 +1,6 @@
 """Tests for the non-holomorphic Eisenstein series evaluators."""
 
+import json
 import math
 import warnings
 
@@ -8,13 +9,16 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
+from halphen_lab.cli import main
 from halphen_lab.errors import (
     CutoffTooLarge, DivergentParameter, DomainError, PoleAtS, StepTooLarge
 )
 from halphen_lab.maass import (
+    CLOSED_FORM_MAX_N,
     MAX_MODES,
     MODE_BAR,
     LatticeSumSpec,
+    _besselk_half_modes,
     _besselk_modes,
     _fourier_factors,
     _mode_count,
@@ -81,19 +85,68 @@ def mpmath_fourier(s, tau, terms=40):
     """Oracle: the lattice-normalized Fourier--Bessel expansion of E_s,
     2 zeta(2s) y^s + 2 sqrt(pi) Gamma(s-1/2) zeta(2s-1) y^(1-s) / Gamma(s)
     + 8 pi^s sqrt(y) / Gamma(s) sum n^(s-1/2) sigma_(1-2s)(n)
-      K_(s-1/2)(2 pi n y) cos(2 pi n x), in 30-digit arithmetic."""
+      K_(s-1/2)(2 pi n y) cos(2 pi n x), in 30-digit arithmetic; 1/Gamma(s)
+    is mp.rgamma, which is 0 at s = 0, -1, .."""
     with mp.workdps(30):
         s, x, y = mp.mpf(s), tau.real, tau.imag
         total = 2 * mp.zeta(2 * s) * y**s + 2 * mp.sqrt(mp.pi) * mp.gamma(
             s - 0.5
-        ) * mp.zeta(2 * s - 1) * y ** (1 - s) / mp.gamma(s)
+        ) * mp.zeta(2 * s - 1) * y ** (1 - s) * mp.rgamma(s)
         for n in range(1, terms + 1):
             sigma = sum(mp.mpf(d) ** (1 - 2 * s) for d in range(1, n + 1) if n % d == 0)
             total += (
-                8 * mp.pi**s * mp.sqrt(y) / mp.gamma(s) * mp.mpf(n) ** (s - 0.5)
+                8 * mp.pi**s * mp.sqrt(y) * mp.rgamma(s) * mp.mpf(n) ** (s - 0.5)
                 * sigma * mp.besselk(s - 0.5, 2 * mp.pi * n * y) * mp.cos(2 * mp.pi * n * x)
             )
         return float(total)
+
+
+def half_integer_coefs(n):
+    """a_n .. a_0 of K_(n+1/2), a_k = (n+k)!/(k!(n-k)!) = C(n+k, 2k) (2k)!/k!."""
+    return tuple(float(math.comb(n + k, 2 * k) * math.factorial(2 * k) // math.factorial(k))
+                 for k in range(n, -1, -1))
+
+
+def primitive_fourier(s, tau, table=False):
+    """(total, bar) of eisenstein_fourier before its factor 2 zeta(2s), with
+    every s-only factor rebuilt on each call; K in closed form where
+    eisenstein_fourier takes it, unless `table`, and from the table
+    elsewhere."""
+    tau = fold_to_fundamental(tau)
+    x, y = tau.real, tau.imag
+    xi2s = math.inf if s == 0 else completed_zeta(2 * s)
+    modes = [y**s, completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)]
+    x1, beta = 2 * math.pi * y, abs(s - 0.5)
+    count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)))
+    order, poly = beta - 0.5, 0
+    if order.is_integer() and order <= CLOSED_FORM_MAX_N and not table:
+        besselk = _besselk_half_modes(half_integer_coefs(int(order)), x1, count)
+        poly = 3 * order + 1
+    else:
+        besselk = _besselk_modes(s - 0.5, x1, count).tolist()
+    for n, k in enumerate(besselk, 1):
+        if k == 0.0:
+            break
+        factor = divisor_sigma(-2 * beta, n) * n**beta
+        coef = 4 * math.sqrt(y) * factor * k / (2 * xi2s)
+        modes.append(coef * 2 * math.cos(2 * math.pi * n * x))
+    total = 0.0
+    for mode in modes:
+        total += mode
+    xi_cond = 0.0 if s == 0 else _xi_condition(2 * s)
+    rounding = 2.0**-53 * (
+        (MAX_MODES + 2) * sum(map(abs, modes))
+        + (_xi_condition(2 * s - 1) + xi_cond) * abs(modes[1])
+        + (2 * (beta + count * x1) + (xi_cond + poly)) * sum(map(abs, modes[2:])))
+    return total, tail + rounding
+
+
+def uncached_fourier(s, tau, table=False):
+    """(value, bar) of eisenstein_fourier from `primitive_fourier`."""
+    norm = 2 * riemann_zeta(2 * s)
+    total, bar = primitive_fourier(s, tau, table)
+    value = norm * total
+    return value, abs(norm) * bar + 2.0**-53 * _zeta_condition(2 * s) * abs(value)
 
 
 class TestScalarHelpers:
@@ -181,6 +234,24 @@ class TestScalarHelpers:
             count, xs = self.modes(x1)
             ref = [float(mp.besselk(nu, x)) for x in xs]
             assert _besselk_modes(nu, x1, count) == pytest.approx(ref, rel=1e-13, abs=0), x1
+
+    @pytest.mark.parametrize("n", sorted({0, 1, 2, 4, 9, 19, CLOSED_FORM_MAX_N}))
+    def test_bessel_routes_match_mpmath_at_half_integer_order(self, n):
+        # the closed form rounds by its 3n + 1 units and at most 5 more in
+        # sqrt(pi t) e^(-x) and the two products; measured: 2-12 units, and
+        # up to 354 for the table, whose e^(-x) is taken from x1 m
+        coefs = _fourier_factors(float(-n))[5]
+        assert coefs == half_integer_coefs(n)
+        for x1 in np.geomspace(2 * math.pi * math.sqrt(3) / 2, 700.0, 12):
+            count, xs = self.modes(x1)
+            with mp.workdps(30):
+                ref = [mp.besselk(n + 0.5, x) for x in xs]
+            closed = _besselk_half_modes(coefs, x1, count)
+            table = _besselk_modes(n + 0.5, x1, count).tolist()
+            for got, want in zip(closed, ref):
+                assert abs(got / want - 1) <= (3 * n + 6) * 2.0**-53, (x1, got, want)
+            assert table == pytest.approx([float(r) for r in ref], rel=1e-13, abs=0), x1
+        assert _besselk_half_modes(coefs, 2.0, 0) == []
 
 
 class TestLattice:
@@ -314,37 +385,12 @@ class TestFourier:
 
     def test_cached_factors_keep_the_bits(self):
         # 40 seeded (s, tau), s = 0, negative s and s >= 55 among them; s = 120
-        # is finite, as F_n = sigma_{1-2s}(n) n^(s-1/2) stays in the float range
+        # is finite, as F_n = sigma_{1-2s}(n) n^(s-1/2) stays in the float
+        # range; then integer s whose K comes in closed form, up to the cap
         rng = np.random.default_rng(43)
         s_list = [0.0, -1.0, -2.3, 55.0, 80.0, 120.0] + list(rng.uniform(-6.0, 60.0, 34))
+        s_list += [2.0, 3.0, 4.0, 5.0, CLOSED_FORM_MAX_N + 1.0, CLOSED_FORM_MAX_N + 2.0]
         cases = [(float(s), complex(rng.uniform(-2, 2), rng.uniform(0.05, 3.0))) for s in s_list]
-
-        def uncached(s, tau):
-            # the expansion with every s-only factor rebuilt on each call
-            tau = fold_to_fundamental(tau)
-            x, y = tau.real, tau.imag
-            norm = 2 * riemann_zeta(2 * s)
-            xi2s = math.inf if s == 0 else completed_zeta(2 * s)
-            modes = [y**s, completed_zeta(2 * s - 1) / xi2s * y ** (1 - s)]
-            x1, beta = 2 * math.pi * y, abs(s - 0.5)
-            count, tail = _mode_count(s, x1, xi2s, MODE_BAR * sum(map(abs, modes)))
-            for n, k in enumerate(_besselk_modes(s - 0.5, x1, count).tolist(), 1):
-                if k == 0.0:
-                    break
-                factor = divisor_sigma(-2 * beta, n) * n**beta
-                coef = 4 * math.sqrt(y) * factor * k / (2 * xi2s)
-                modes.append(coef * 2 * math.cos(2 * math.pi * n * x))
-            total = 0.0
-            for mode in modes:
-                total += mode
-            xi_cond = 0.0 if s == 0 else _xi_condition(2 * s)
-            rounding = 2.0**-53 * (
-                (MAX_MODES + 2) * sum(map(abs, modes))
-                + (_xi_condition(2 * s - 1) + xi_cond) * abs(modes[1])
-                + (2 * (beta + count * x1) + xi_cond) * sum(map(abs, modes[2:])))
-            value = norm * total
-            return value, abs(norm) * (tail + rounding) + 2.0**-53 * _zeta_condition(
-                2 * s) * abs(value)
 
         def values():
             out = []
@@ -363,10 +409,12 @@ class TestFourier:
         assert warm == cold
         assert [i for i, v in enumerate(cold) if isinstance(v, str)] == []
         for case, got in zip(cases, cold):
-            assert got == uncached(*case), case
+            assert got == uncached_fourier(*case), case
 
     @pytest.mark.parametrize(
-        "s", [-2.3, 0.25, 0.75, 1.5, 2.0, 3.0, 5.0, 8.0, 20.0, 40.0, 110.0]
+        "s",
+        [-2.3, -1.0, 0.25, 0.75, 1.5, 2.0, 3.0, 4.0, 5.0, 8.0, 20.0, CLOSED_FORM_MAX_N + 1.0,
+         40.0, 110.0],
     )
     def test_bar_covers_the_expansion(self, s):
         # Im tau from sqrt(3)/2, where the most modes are summed, to 8, where
@@ -384,6 +432,46 @@ class TestFourier:
             got = eisenstein_fourier(s, tau)
             ref = mpmath_fourier(s, fold_to_fundamental(tau))
             assert abs(got.value - ref) <= got.est_error < math.inf, (tau, got, ref)
+
+    def test_closed_form_agrees_with_the_table(self):
+        # every integer s with K in closed form but the pole s = 1, at 8
+        # seeded tau in F and its bottom corner: the series before 2 zeta(2s),
+        # which vanishes at s < 0, against the table's
+        rng = np.random.default_rng(71)
+        taus = [complex(0.5, math.sqrt(3) / 2)]
+        while len(taus) < 9:
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(math.sqrt(3) / 2, 3.0))
+            if abs(tau) >= 1:
+                taus.append(tau)
+        for s in range(-5, CLOSED_FORM_MAX_N + 2):
+            if s == 1:
+                continue
+            for tau in taus:
+                closed, closed_bar = primitive_fourier(float(s), tau)
+                table, table_bar = primitive_fourier(float(s), tau, table=True)
+                assert abs(closed - table) <= closed_bar + table_bar, (s, tau, closed, table)
+                got = eisenstein_fourier(float(s), tau).value
+                assert got == 2 * riemann_zeta(2 * s) * closed, (s, tau)
+
+    def test_s_past_the_gamma_overflow(self, capsys):
+        # Gamma(s) in xi(2s) overflows a float above s = 171.6: xi(2s) and
+        # xi(2s - 1)/xi(2s) are taken through lgamma, and E_200 is a value
+        assert main(["eisenstein", "--s", "200", "--tau", "0.1+1.2i"]) == 0
+        got = json.loads(capsys.readouterr().out)["fourier"]
+        ref = mpmath_fourier(200, 0.1 + 1.2j, terms=20)  # 10 give the same float
+        assert ref == pytest.approx(1.3718e16, rel=1e-4)
+        assert abs(got["value"] - ref) <= got["est_error"] < 1e-14 * ref, (got, ref)
+
+    @pytest.mark.parametrize("s", [171.7, 219.0])
+    def test_xi_through_lgamma_is_within_its_condition(self, s):
+        # the conditions bound the rounding of xi(2s) and xi(2s - 1)/xi(2s)
+        _, xi2s, ratio, _, (_, ratio_cond, xi_cond), _ = _fourier_factors(s)
+        with mp.workdps(40):
+            xi = [mp.zeta(w) * mp.gamma(w / 2) * mp.pi ** (-w / 2) for w in (2 * s - 1, 2 * s)]
+            assert abs(xi2s / xi[1] - 1) <= (xi_cond + 1) * 2.0**-53
+            assert abs(ratio / (xi[0] / xi[1]) - 1) <= (ratio_cond + 1) * 2.0**-53
+        with pytest.raises(DomainError, match=r"xi\(2s\) overflows a float at s = 219.5"):
+            eisenstein_fourier(219.5, 2j)
 
     @pytest.mark.parametrize("s", [110.0, 120.0])
     def test_large_s_stays_in_the_float_range(self, s):
